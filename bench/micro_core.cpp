@@ -52,6 +52,31 @@ void BM_SchedulerCancelHalf(benchmark::State& state) {
 }
 BENCHMARK(BM_SchedulerCancelHalf)->Arg(10000);
 
+// The classic hold model: the queue sits at a steady depth and every event
+// schedules one successor at now + a pseudo-random delay (under 1 ms), as
+// city_traffic does at its ~3 k live events. ScheduleRun above fills the
+// heap and drains it, so it never sees this steady state.
+struct HoldModel {
+  Scheduler s;
+  std::uint64_t x = 0x9E3779B97F4A7C15ull;  // xorshift64 state
+};
+
+void hold(HoldModel& m) {
+  m.x ^= m.x << 13;
+  m.x ^= m.x >> 7;
+  m.x ^= m.x << 17;
+  m.s.schedule_in(SimTime::nanos(static_cast<std::int64_t>(m.x % 1'000'000)),
+                  [&m] { hold(m); });
+}
+
+void BM_SchedulerHold(benchmark::State& state) {
+  HoldModel m;
+  for (std::int64_t i = 0; i < state.range(0); ++i) hold(m);
+  for (auto _ : state) m.s.step();
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_SchedulerHold)->Arg(1000)->Arg(4000);
+
 void BM_DropTailQueuePushPop(benchmark::State& state) {
   Simulation sim;
   DropTailQueue q(1024);

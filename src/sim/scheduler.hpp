@@ -17,14 +17,16 @@ inline constexpr EventId kInvalidEvent = 0;
 /// Events at the same timestamp execute in scheduling order (FIFO), which is
 /// the property protocol state machines in this library rely on.
 ///
-/// Storage is a slab of generation-tagged slots indexed by a 4-ary min-heap
-/// of slot indices, ordered by (time, issue sequence). An EventId packs the
-/// slot index and the slot's generation at issue time, so `pending()` and
-/// `cancel()` are O(1) slot loads — no hash lookups — and stale handles from
-/// a reused slot fail the generation check. Cancellation is lazy: the slot
-/// is flagged and skipped (and recycled) when it reaches the heap root. The
-/// 4-ary layout halves the sift-down depth vs. a binary heap and keeps the
-/// children of a node in at most two cache lines.
+/// Storage is a slab of generation-tagged slots holding the actions, and a
+/// 4-ary min-heap whose cells carry their own (time, issue sequence) key
+/// plus the slot index. Sifts compare and move heap cells only; a slot is
+/// touched at the root (to run or recycle it), by `cancel()` and by
+/// `pending()`. An EventId packs the slot index and the slot's generation at
+/// issue time, so `pending()` and `cancel()` are O(1) slot loads — no hash
+/// lookups — and stale handles from a reused slot fail the generation check.
+/// Cancellation is lazy: the slot is flagged and skipped (and recycled) when
+/// its heap cell reaches the root. The 4-ary layout halves the sift-down
+/// depth vs. a binary heap, and a node's four children sit side by side.
 class Scheduler {
  public:
   using Action = std::function<void()>;
@@ -32,7 +34,8 @@ class Scheduler {
   SimTime now() const { return now_; }
 
   /// Schedules `fn` at absolute time `t`. Scheduling in the past is clamped
-  /// to `now()` (the event still runs, after currently pending events).
+  /// to `now()`: the event still runs, after the events already pending at
+  /// `now()` and before every event at a later time.
   EventId schedule_at(SimTime t, Action fn);
 
   /// Schedules `fn` at `now() + delay`.
@@ -69,15 +72,20 @@ class Scheduler {
 
  private:
   /// One slab entry. A slot not on the free list is "armed": it owns an
-  /// action and occupies exactly one heap cell. `gen` counts reuses of the
-  /// slot; handles from a previous occupancy no longer match it.
+  /// action and is named by exactly one heap cell. `gen` counts reuses of
+  /// the slot; handles from a previous occupancy no longer match it.
   struct Slot {
-    SimTime at;
-    std::uint64_t seq = 0;  // issue order; the same-time FIFO tiebreaker
     Action fn;
     std::uint32_t gen = 0;
     bool armed = false;
     bool cancelled = false;
+  };
+
+  /// One heap cell: the event's key, inline so that sifts never load a slot.
+  struct HeapEntry {
+    SimTime at;
+    std::uint64_t seq;  // issue order; the same-time FIFO tiebreaker
+    std::uint32_t slot;
   };
 
   static constexpr std::uint32_t decode_slot(EventId id) {
@@ -91,18 +99,17 @@ class Scheduler {
     return (static_cast<EventId>(gen) << 32) | (slot + 1);
   }
 
-  /// (time, seq) heap order between two armed slots.
-  bool earlier(std::uint32_t a, std::uint32_t b) const {
-    const Slot& sa = slots_[a];
-    const Slot& sb = slots_[b];
-    if (sa.at != sb.at) return sa.at < sb.at;
-    return sa.seq < sb.seq;
+  /// (time, seq) heap order between two cells.
+  static bool earlier(const HeapEntry& a, const HeapEntry& b) {
+    if (a.at != b.at) return a.at < b.at;
+    return a.seq < b.seq;
   }
 
   std::uint32_t acquire_slot();
   void release_root();
-  void sift_up(std::size_t pos);
-  void sift_down(std::size_t pos);
+  /// Both sifts fill the hole at `pos` with `e`, moving the cells they pass.
+  void sift_up(std::size_t pos, HeapEntry e);
+  void sift_down(std::size_t pos, HeapEntry e);
 
   /// Pops the earliest non-cancelled action with timestamp <= `limit`,
   /// recycling any cancelled slots it skips past. The single dequeue path:
@@ -111,7 +118,7 @@ class Scheduler {
 
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_;  // recycled slot indices
-  std::vector<std::uint32_t> heap_;  // 4-ary min-heap of armed slot indices
+  std::vector<HeapEntry> heap_;      // 4-ary min-heap over armed slots
   std::size_t live_ = 0;             // armed and not cancelled
   std::uint64_t next_seq_ = 1;
   SimTime now_;
