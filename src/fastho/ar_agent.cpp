@@ -80,16 +80,7 @@ void ArAgent::send_control(Address dst, MessageVariant m, std::uint32_t bytes) {
 }
 
 void ArAgent::drop(PacketPtr p, DropReason reason) {
-  node_.sim().stats().record_drop(p->flow, reason);
-  trace_packet(node_.sim(), TraceKind::kDrop, node_.name().c_str(), *p,
-               reason);
-  if (node_.sim().logger().enabled(LogLevel::kDebug)) {
-    node_.sim().log(LogLevel::kDebug,
-                    node_.name() + " AR-drop " +
-                        std::string(message_name(p->msg)) + " seq=" +
-                        std::to_string(p->seq) + " (" + to_string(reason) +
-                        ")");
-  }
+  node_.sim().drop(std::move(p), reason, node_.name().c_str());
 }
 
 // ---------------------------------------------------------------------------

@@ -32,7 +32,11 @@ struct RetransmitPolicy {
   std::uint32_t max_retries = 4;
 
   /// Timeout armed after send number `attempt` (0 = the initial send).
-  SimTime timeout_for(std::uint32_t attempt) const;
+  SimTime timeout_for(std::uint32_t attempt) const {
+    double scale = 1.0;
+    for (std::uint32_t i = 0; i < attempt; ++i) scale *= backoff;
+    return SimTime::from_seconds(rto.sec() * scale);
+  }
 };
 
 }  // namespace fhmip

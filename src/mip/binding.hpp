@@ -8,15 +8,14 @@
 
 namespace fhmip {
 
-/// A mobility binding: some stable address (home address or RCoA) currently
-/// maps to a care-of address, until `expires`.
+/// A mobility binding: a stable address (the RCoA) currently maps to a
+/// care-of address, until `expires`.
 struct BindingEntry {
   Address coa;
   SimTime expires;
 };
 
-/// The binding cache kept by home agents and MAPs (§2.1.1 "mobility binding
-/// table", §2.2.1 MAP binding cache). Lookup is lazy-expiring.
+/// The MAP binding cache (§2.2.1). Lookup is lazy-expiring.
 class BindingCache {
  public:
   void update(Address key, Address coa, SimTime now, SimTime lifetime);

@@ -20,9 +20,7 @@ void MapAgent::intercept(PacketPtr p) {
   Simulation& sim = node_.sim();
   const auto coa = bindings_.lookup(p->dst, sim.now());
   if (!coa) {
-    sim.stats().record_drop(p->flow, DropReason::kNoRoute);
-    trace_packet(sim, TraceKind::kDrop, node_.name().c_str(), *p,
-                 DropReason::kNoRoute);
+    sim.drop(std::move(p), DropReason::kNoRoute, node_.name().c_str());
     return;
   }
   // Simultaneous binding: bicast a copy toward the secondary care-of

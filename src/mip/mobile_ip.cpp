@@ -23,19 +23,6 @@ void MobileIpClient::send_binding_update(Address lcoa, SimTime lifetime) {
   node_.send(make_control(node_.sim(), lcoa, map_, bu));
 }
 
-void MobileIpClient::send_binding_update_to(Address correspondent,
-                                            Address lcoa, SimTime lifetime) {
-  BindingUpdateMsg bu;
-  bu.mh = node_.id();
-  bu.regional = regional_;
-  bu.lcoa = lcoa;
-  bu.lifetime = lifetime;
-  ++updates_sent_;
-  // Route-optimization BU to a CN is best-effort; traffic falls back to
-  // the HA tunnel until the next refresh. NOLINT-FHMIP(PROTO-01)
-  node_.send(make_control(node_.sim(), lcoa, correspondent, bu));
-}
-
 void MobileIpClient::send_simultaneous_binding(Address lcoa,
                                                SimTime lifetime) {
   BindingUpdateMsg bu;
@@ -51,34 +38,12 @@ void MobileIpClient::send_simultaneous_binding(Address lcoa,
   node_.send(make_control(node_.sim(), regional_, map_, bu));
 }
 
-void MobileIpClient::send_registration(Address via, Address home_agent,
-                                       Address home_addr, Address coa,
-                                       SimTime lifetime) {
-  RegistrationRequestMsg req;
-  req.mh = node_.id();
-  req.home_addr = home_addr;
-  req.home_agent = home_agent;
-  req.coa = coa;
-  req.lifetime = lifetime;
-  ++registrations_sent_;
-  // Baseline MIP registration relies on lifetime refresh for recovery;
-  // experiments drive retries from the scenario. NOLINT-FHMIP(PROTO-01)
-  node_.send(make_control(node_.sim(), coa, via, req));
-}
-
 bool MobileIpClient::handle_control(PacketPtr& p) {
-  if (const auto* ack = std::get_if<BindingAckMsg>(&p->msg)) {
-    if (ack->mh != node_.id()) return false;
-    ++acks_received_;
-    if (on_binding_ack_) on_binding_ack_();
-    return true;
-  }
-  if (const auto* rep = std::get_if<RegistrationReplyMsg>(&p->msg)) {
-    if (rep->mh != node_.id()) return false;
-    if (on_registration_reply_) on_registration_reply_(rep->accepted);
-    return true;
-  }
-  return false;
+  const auto* ack = std::get_if<BindingAckMsg>(&p->msg);
+  if (ack == nullptr || ack->mh != node_.id()) return false;
+  ++acks_received_;
+  if (on_binding_ack_) on_binding_ack_();
+  return true;
 }
 
 }  // namespace fhmip

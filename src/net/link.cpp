@@ -9,20 +9,6 @@ namespace fhmip {
 
 namespace {
 
-TraceEvent trace_event(SimTime at, TraceKind kind, const std::string& where,
-                       const Packet& p) {
-  TraceEvent e;
-  e.at = at;
-  e.kind = kind;
-  e.where = where.c_str();
-  e.uid = p.uid;
-  e.flow = p.flow;
-  e.seq = p.seq;
-  e.bytes = p.size_bytes;
-  e.msg = message_name(p.msg);
-  return e;
-}
-
 std::variant<DropTailQueue, ClassPriorityQueue> make_queue(
     QueueDiscipline discipline, std::size_t limit) {
   if (discipline == QueueDiscipline::kClassPriority) {
@@ -114,7 +100,7 @@ void SimplexLink::start_tx(PacketPtr p) {
   busy_ = true;
   if (sim_.trace().enabled()) {
     sim_.trace().emit(
-        trace_event(sim_.now(), TraceKind::kTransmit, name_, *p));
+        trace_event(sim_.now(), TraceKind::kTransmit, name_.c_str(), *p));
   }
   const SimTime tx = tx_time(p->size_bytes);
   // The link holds the packet while it occupies the transmitter; the
@@ -157,7 +143,7 @@ void SimplexLink::deliver_front() {
   }
   if (sim_.trace().enabled()) {
     sim_.trace().emit(
-        trace_event(sim_.now(), TraceKind::kDeliver, name_, *pkt));
+        trace_event(sim_.now(), TraceKind::kDeliver, name_.c_str(), *pkt));
   }
   to_.receive(std::move(pkt));
 }
@@ -171,17 +157,7 @@ SimplexLink::~SimplexLink() {
 void SimplexLink::drop(PacketPtr p, DropReason reason) {
   ++dropped_;
   if (m_dropped_ != nullptr) m_dropped_->inc();
-  sim_.stats().record_drop(p->flow, reason);
-  if (sim_.trace().enabled()) {
-    TraceEvent e = trace_event(sim_.now(), TraceKind::kDrop, name_, *p);
-    e.reason = reason;
-    sim_.trace().emit(e);
-  }
-  if (sim_.logger().enabled(LogLevel::kDebug)) {
-    sim_.log(LogLevel::kDebug, "link " + name_ + " dropped " +
-                                   std::string(message_name(p->msg)) + " (" +
-                                   to_string(reason) + ")");
-  }
+  sim_.drop(std::move(p), reason, name_.c_str());
 }
 
 void SimplexLink::set_up(bool up) {

@@ -164,17 +164,17 @@ struct BaMsg {
 };
 
 // ---------------------------------------------------------------------------
-// Mobile IP / HMIPv6 messages (§2.1, §2.2).
+// HMIPv6 messages (§2.2).
 // ---------------------------------------------------------------------------
 
-/// MH → MAP (or CN) binding update: regional address now maps to `lcoa`.
+/// MH → MAP binding update: regional address now maps to `lcoa`.
 /// With `simultaneous` set the binding is added as a secondary care-of
 /// address and traffic is bicast to every binding — the "simultaneous
 /// binding" alternative of §3.1.1 (a non-simultaneous update clears any
 /// secondary binding).
 struct BindingUpdateMsg {
   MhId mh = kNoNode;
-  Address regional;  // RCoA / home address being bound
+  Address regional;  // RCoA being bound
   Address lcoa;
   SimTime lifetime;
   bool simultaneous = false;
@@ -183,37 +183,6 @@ struct BindingUpdateMsg {
 struct BindingAckMsg {
   MhId mh = kNoNode;
   bool accepted = false;
-};
-
-/// MIPv4 agent discovery (§2.1.1 stage 1): agents advertise periodically;
-/// hosts may solicit instead of waiting.
-struct AgentAdvertisementMsg {
-  NodeId agent_node = kNoNode;
-  Address agent_addr;
-  Address care_of_addr;  // the CoA offered to visitors (FA-CoA)
-  bool is_home_agent = false;
-  bool is_foreign_agent = false;
-  SimTime registration_lifetime;
-  std::uint32_t sequence = 0;
-};
-struct AgentSolicitationMsg {
-  MhId mh = kNoNode;
-};
-
-/// MIPv4-style registration (home agent path; lifetime zero = deregister).
-/// `home_agent` lets a relaying foreign agent know where to forward.
-struct RegistrationRequestMsg {
-  MhId mh = kNoNode;
-  Address home_addr;
-  Address home_agent;
-  Address coa;
-  SimTime lifetime;
-};
-struct RegistrationReplyMsg {
-  MhId mh = kNoNode;
-  Address home_addr;
-  bool accepted = false;
-  SimTime lifetime;
 };
 
 // ---------------------------------------------------------------------------
@@ -233,8 +202,7 @@ using MessageVariant =
     std::variant<std::monostate, RouterAdvMsg, RtSolPrMsg, PrRtAdvMsg, HiMsg,
                  HackMsg, FbuMsg, FbackMsg, FnaMsg, FnaAckMsg, BfMsg,
                  BufferFullMsg, BiMsg, BaMsg, BindingUpdateMsg, BindingAckMsg,
-                 AgentAdvertisementMsg, AgentSolicitationMsg,
-                 RegistrationRequestMsg, RegistrationReplyMsg, TcpSegMsg>;
+                 TcpSegMsg>;
 
 /// True for protocol-control payloads (everything except plain data / TCP).
 bool is_control(const MessageVariant& m);

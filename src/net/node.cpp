@@ -6,24 +6,6 @@
 
 namespace fhmip {
 
-namespace {
-
-TraceEvent node_trace(SimTime at, TraceKind kind, const std::string& where,
-                      const Packet& p) {
-  TraceEvent e;
-  e.at = at;
-  e.kind = kind;
-  e.where = where.c_str();
-  e.uid = p.uid;
-  e.flow = p.flow;
-  e.seq = p.seq;
-  e.bytes = p.size_bytes;
-  e.msg = message_name(p.msg);
-  return e;
-}
-
-}  // namespace
-
 Node::Node(Simulation& sim, NodeId id, std::string name)
     : sim_(sim), id_(id), name_(std::move(name)) {}
 
@@ -102,7 +84,8 @@ void Node::forward(PacketPtr p, bool decrement_ttl) {
   }
   ++forwarded_;
   if (sim_.trace().enabled()) {
-    sim_.trace().emit(node_trace(sim_.now(), TraceKind::kForward, name_, *p));
+    sim_.trace().emit(
+        trace_event(sim_.now(), TraceKind::kForward, name_.c_str(), *p));
   }
   if (r->link != nullptr) {
     r->link->transmit(std::move(p));
@@ -119,7 +102,9 @@ void Node::deliver_local(PacketPtr p) {
   // kNoRoute instead — it must not also count as delivered).
   const bool traced = sim_.trace().enabled();
   TraceEvent e;
-  if (traced) e = node_trace(sim_.now(), TraceKind::kLocalDeliver, name_, *p);
+  if (traced) {
+    e = trace_event(sim_.now(), TraceKind::kLocalDeliver, name_.c_str(), *p);
+  }
   if (p->is_control()) {
     // Index loop: a handler may register another handler while we iterate
     // (agent construction from a callback), which invalidates iterators.
@@ -151,18 +136,7 @@ void Node::deliver_local(PacketPtr p) {
 }
 
 void Node::drop(PacketPtr p, DropReason reason) {
-  sim_.stats().record_drop(p->flow, reason);
-  if (sim_.trace().enabled()) {
-    TraceEvent e = node_trace(sim_.now(), TraceKind::kDrop, name_, *p);
-    e.reason = reason;
-    sim_.trace().emit(e);
-  }
-  if (sim_.logger().enabled(LogLevel::kDebug)) {
-    sim_.log(LogLevel::kDebug,
-             name_ + " dropped " + std::string(message_name(p->msg)) +
-                 " dst=" + p->dst.to_string() + " (" + to_string(reason) +
-                 ")");
-  }
+  sim_.drop(std::move(p), reason, name_.c_str());
 }
 
 }  // namespace fhmip

@@ -32,18 +32,6 @@ const char* message_name(const MessageVariant& m) {
     const char* operator()(const BaMsg&) const { return "BA"; }
     const char* operator()(const BindingUpdateMsg&) const { return "BU"; }
     const char* operator()(const BindingAckMsg&) const { return "BAck"; }
-    const char* operator()(const AgentAdvertisementMsg&) const {
-      return "AgentAdv";
-    }
-    const char* operator()(const AgentSolicitationMsg&) const {
-      return "AgentSol";
-    }
-    const char* operator()(const RegistrationRequestMsg&) const {
-      return "RegReq";
-    }
-    const char* operator()(const RegistrationReplyMsg&) const {
-      return "RegRep";
-    }
     const char* operator()(const TcpSegMsg&) const { return "TCP"; }
   };
   return std::visit(Visitor{}, m);
@@ -97,9 +85,9 @@ TunnelStack& TunnelStack::operator=(TunnelStack&& o) noexcept {
 }
 
 void TunnelStack::push_spill(Address a) {
-  // Cold overflow: FHMIP nests at most HA-over-MAP tunnels (depth 2), so
-  // the 4-slot inline array absorbs every real topology and this
-  // allocation only fires in adversarial unit tests.
+  // Cold overflow: FHMIP nests at most the MAP tunnel inside the PAR→NAR
+  // tunnel (depth 2), so the 4-slot inline array absorbs every real
+  // topology and this allocation only fires in adversarial unit tests.
   if (spill_ == nullptr)
     spill_ = std::make_unique<std::vector<Address>>();  // NOLINT-FHMIP(PERF-01)
   spill_->push_back(a);
@@ -136,19 +124,9 @@ PacketPtr Packet::clone(std::uint64_t new_uid) const {
 }
 
 void trace_packet(Simulation& sim, TraceKind kind, const char* where,
-                  const Packet& p, std::optional<DropReason> reason) {
+                  const Packet& p) {
   if (!sim.trace().enabled()) return;
-  TraceEvent e;
-  e.at = sim.now();
-  e.kind = kind;
-  e.where = where;
-  e.uid = p.uid;
-  e.flow = p.flow;
-  e.seq = p.seq;
-  e.bytes = p.size_bytes;
-  e.msg = message_name(p.msg);
-  e.reason = reason;
-  sim.trace().emit(e);
+  sim.trace().emit(trace_event(sim.now(), kind, where, p));
 }
 
 PacketPtr make_packet(Simulation& sim, Address src, Address dst,

@@ -3,7 +3,6 @@
 #include <array>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "net/address.hpp"
@@ -179,11 +178,29 @@ using PacketPtr = std::unique_ptr<Packet, PacketDeleter>;
 
 class Simulation;
 
+/// The one builder of a packet's trace event. Inline so the per-hop sites
+/// (transmit, deliver, forward, local delivery) call nothing out of line
+/// behind their `trace().enabled()` test.
+inline TraceEvent trace_event(SimTime at, TraceKind kind, const char* where,
+                              const Packet& p) {
+  TraceEvent e;
+  e.at = at;
+  e.kind = kind;
+  e.where = where;
+  e.uid = p.uid;
+  e.flow = p.flow;
+  e.seq = p.seq;
+  e.bytes = p.size_bytes;
+  e.msg = message_name(p.msg);
+  return e;
+}
+
 /// Emits a packet-level trace event through the simulation's trace hub
-/// (no-op without sinks). Shared by every creation/drop/discard site so the
-/// packet ledger sees a complete event stream.
+/// (no-op without sinks). Shared by the creation and buffer sites so the
+/// packet ledger sees a complete event stream; deaths go through
+/// Simulation::drop.
 void trace_packet(Simulation& sim, TraceKind kind, const char* where,
-                  const Packet& p, std::optional<DropReason> reason = {});
+                  const Packet& p);
 
 /// Convenience factory: acquires a packet from the simulation's pool and
 /// stamps uid and creation time. uid order is identical to the historical

@@ -55,6 +55,12 @@ class Simulation {
     logger_.log(level, now(), msg);
   }
 
+  /// The one terminal call for a packet that dies: adds the drop to
+  /// StatsHub under its flow and reason, emits one kDrop trace event at
+  /// `where` (the node or link name) and writes one debug log line. The
+  /// packet is freed on return.
+  void drop(PacketPtr p, DropReason reason, const char* where);
+
  private:
   // Declared first: the pool must outlive every other member — pending
   // scheduler actions and topology objects own pooled packets, and their

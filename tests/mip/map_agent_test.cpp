@@ -159,5 +159,22 @@ TEST_F(MapFixture, BindingAckCallback) {
   EXPECT_EQ(mip.updates_sent(), 1u);
 }
 
+TEST_F(MapFixture, DestroyedClientLeavesNoDanglingHandler) {
+  // Regression: MobileIpClient registers a this-capturing control handler
+  // on its node; destroying a client used to leave the handler behind, and
+  // the next binding ack ran it on freed memory (heap-use-after-free under
+  // ASan) instead of reaching the live client.
+  auto gone = std::make_unique<MobileIpClient>(mh, regional(), map->address());
+  gone->send_binding_update(lcoa(), 60_s);
+  sim.run();
+  gone.reset();
+  MobileIpClient mip(mh, regional(), map->address());
+  int acks = 0;
+  mip.set_on_binding_ack([&] { ++acks; });
+  mip.send_binding_update(lcoa(), 60_s);
+  sim.run();  // the ack must reach the live client only
+  EXPECT_EQ(acks, 1);
+}
+
 }  // namespace
 }  // namespace fhmip
