@@ -12,6 +12,7 @@
 #include "net/link.hpp"
 #include "net/node.hpp"
 #include "net/queue.hpp"
+#include "scenario/population.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/simulation.hpp"
 #include "wireless/mobility.hpp"
@@ -249,9 +250,10 @@ struct NullL2 final : L2Callbacks {
 
 void BM_WlanTickStaticField(benchmark::State& state) {
   // One second of WLAN ticks over a 10x10 AP grid with n stationary,
-  // attached hosts: the per-tick association scan that dominated the
-  // city-scale runs. Hosts sit at cell centers, so no triggers or handoffs
-  // fire — this isolates the evaluate() cost itself.
+  // attached hosts. Hosts sit at AP centers, so no triggers or handoffs
+  // fire, and a host that cannot move is never due again after start():
+  // this measures the tick chain alone, the floor of the due-tick poll.
+  // BM_WlanTickRoaming below measures hosts that are evaluated.
   const int n = static_cast<int>(state.range(0));
   const double spacing = 212, radius = 112;
   NullL2 cb;
@@ -290,7 +292,62 @@ void BM_WlanTickStaticField(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * 100 * n);
 }
-BENCHMARK(BM_WlanTickStaticField)->Arg(100)->Arg(1000);
+// Fixed iterations: the untimed field set-up costs far more than the timed
+// second of ticks, and google-benchmark sizes a run by its timed part.
+BENCHMARK(BM_WlanTickStaticField)->Arg(100)->Arg(1000)->Iterations(20);
+
+void BM_WlanTickRoaming(benchmark::State& state) {
+  // The same field and second of ticks with n random-waypoint hosts at
+  // 5-20 m/s (the city population's walks): due hosts are evaluated,
+  // trigger and hand off, so this is the association cost that scales
+  // with movement.
+  const int n = static_cast<int>(state.range(0));
+  const double spacing = 212, radius = 112;
+  NullL2 cb;
+  PopulationConfig pop;
+  pop.mobility_start = SimTime{};
+  pop.horizon = SimTime::seconds(2);
+  const RoamBox box{Vec2{-radius, -radius},
+                    Vec2{9 * spacing + radius, 9 * spacing + radius}};
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto sim = std::make_unique<Simulation>();
+    WlanConfig cfg;
+    cfg.send_router_adv = false;
+    auto wlan = std::make_unique<WlanManager>(*sim, cfg);
+    std::vector<std::unique_ptr<Node>> nodes;
+    for (int r = 0; r < 10; ++r) {
+      for (int c = 0; c < 10; ++c) {
+        nodes.push_back(std::make_unique<Node>(
+            *sim, static_cast<NodeId>(nodes.size() + 1), "ar"));
+        wlan->add_ap(*nodes.back(), Vec2{c * spacing, r * spacing}, radius,
+                     nullptr);
+      }
+    }
+    Rng rng(42);
+    for (int i = 0; i < n; ++i) {
+      nodes.push_back(std::make_unique<Node>(
+          *sim, static_cast<NodeId>(1000 + i), "mh"));
+      const Vec2 spawn{rng.uniform(box.lo.x, box.hi.x),
+                       rng.uniform(box.lo.y, box.hi.y)};
+      wlan->add_mh(*nodes.back(),
+                   make_random_waypoint_walk(rng, pop, box, spawn,
+                                             rng.uniform(5, 20)),
+                   &cb);
+    }
+    wlan->start();
+    state.ResumeTiming();
+    sim->run_until(SimTime::seconds(1));  // 100 ticks at the 10ms default
+    benchmark::DoNotOptimize(wlan->handoffs_started());
+    state.PauseTiming();
+    wlan.reset();
+    nodes.clear();
+    sim.reset();
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(state.iterations() * 100 * n);
+}
+BENCHMARK(BM_WlanTickRoaming)->Arg(100)->Arg(1000)->Iterations(20);
 
 void BM_WaypointMobilityPosition(benchmark::State& state) {
   // Random-waypoint walks hold hundreds of segments; position() runs once

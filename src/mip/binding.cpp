@@ -19,14 +19,4 @@ std::optional<Address> BindingCache::lookup(Address key, SimTime now) const {
   return it->second.coa;
 }
 
-void BindingCache::purge_expired(SimTime now) {
-  for (auto it = entries_.begin(); it != entries_.end();) {
-    if (it->second.expires <= now) {
-      it = entries_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-}
-
 }  // namespace fhmip

@@ -25,7 +25,6 @@ class BindingCache {
   std::optional<Address> lookup(Address key, SimTime now) const;
 
   std::size_t size() const { return entries_.size(); }
-  void purge_expired(SimTime now);
 
  private:
   std::unordered_map<std::uint64_t, BindingEntry> entries_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 namespace fhmip {
 
@@ -14,6 +15,10 @@ double distance(Vec2 a, Vec2 b) {
 LinearMobility::LinearMobility(Vec2 start, Vec2 velocity_mps, SimTime t0)
     : start_(start), vel_(velocity_mps), t0_(t0) {}
 
+double LinearMobility::speed_bound(SimTime) const {
+  return std::hypot(vel_.x, vel_.y);
+}
+
 Vec2 LinearMobility::position(SimTime t) const {
   if (t <= t0_) return start_;
   const double dt = (t - t0_).sec();
@@ -25,6 +30,11 @@ BounceMobility::BounceMobility(Vec2 a, Vec2 b, double speed_mps, SimTime t0)
 
 SimTime BounceMobility::leg_duration() const {
   return SimTime::from_seconds(distance(a_, b_) / speed_);
+}
+
+// A non-positive speed leaves the host at `a` (position() below).
+double BounceMobility::speed_bound(SimTime) const {
+  return std::max(0.0, speed_);
 }
 
 Vec2 BounceMobility::position(SimTime t) const {
@@ -53,10 +63,20 @@ WaypointMobility::WaypointMobility(Vec2 start, std::vector<Leg> legs,
     const SimTime dur =
         l.speed_mps > 0 ? SimTime::from_seconds(d / l.speed_mps) : SimTime{};
     segments_.push_back({cur, l.to, at, at + dur});
+    if (dur > SimTime{}) {
+      max_speed_ = std::max(max_speed_, d / dur.sec());
+    } else if (!(cur == l.to)) {
+      max_speed_ = std::numeric_limits<double>::infinity();
+    }
     at += dur;
     cur = l.to;
   }
   final_ = cur;
+  end_ = at;
+}
+
+double WaypointMobility::speed_bound(SimTime t) const {
+  return t < end_ ? max_speed_ : 0.0;
 }
 
 Vec2 WaypointMobility::position(SimTime t) const {

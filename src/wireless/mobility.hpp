@@ -20,12 +20,18 @@ class MobilityModel {
  public:
   virtual ~MobilityModel() = default;
   virtual Vec2 position(SimTime t) const = 0;
+  /// Upper bound (m/s) on the host's speed at every instant from `t` on;
+  /// +infinity when the position can still jump. The WLAN layer divides a
+  /// host's distance to its nearest association boundary by this to skip
+  /// the ticks on which its association provably cannot change.
+  virtual double speed_bound(SimTime t) const = 0;
 };
 
 class StaticPosition final : public MobilityModel {
  public:
   explicit StaticPosition(Vec2 p) : p_(p) {}
   Vec2 position(SimTime) const override { return p_; }
+  double speed_bound(SimTime) const override { return 0; }
 
  private:
   Vec2 p_;
@@ -37,6 +43,7 @@ class LinearMobility final : public MobilityModel {
  public:
   LinearMobility(Vec2 start, Vec2 velocity_mps, SimTime t0 = SimTime{});
   Vec2 position(SimTime t) const override;
+  double speed_bound(SimTime t) const override;
 
  private:
   Vec2 start_;
@@ -50,6 +57,7 @@ class BounceMobility final : public MobilityModel {
  public:
   BounceMobility(Vec2 a, Vec2 b, double speed_mps, SimTime t0 = SimTime{});
   Vec2 position(SimTime t) const override;
+  double speed_bound(SimTime t) const override;
 
   /// Time for one full leg (a→b).
   SimTime leg_duration() const;
@@ -62,7 +70,8 @@ class BounceMobility final : public MobilityModel {
 };
 
 /// Piecewise-linear motion through waypoints at per-leg speeds; the host
-/// stops at the final waypoint.
+/// stops at the final waypoint. A leg with speed <= 0 takes no time: the
+/// host jumps to its waypoint.
 class WaypointMobility final : public MobilityModel {
  public:
   struct Leg {
@@ -71,6 +80,11 @@ class WaypointMobility final : public MobilityModel {
   };
   WaypointMobility(Vec2 start, std::vector<Leg> legs, SimTime t0 = SimTime{});
   Vec2 position(SimTime t) const override;
+  /// The fastest segment's actual speed (distance over its whole-ns
+  /// duration, which rounding can make faster than the leg's speed_mps)
+  /// until the last segment ends, 0 after. A zero-duration segment that
+  /// moves the host makes it +infinity until then.
+  double speed_bound(SimTime t) const override;
 
  private:
   struct Segment {
@@ -82,6 +96,8 @@ class WaypointMobility final : public MobilityModel {
   std::vector<Segment> segments_;
   Vec2 final_;
   SimTime t0_;
+  double max_speed_ = 0;
+  SimTime end_;  // end of the last segment (t0 without legs)
 };
 
 }  // namespace fhmip

@@ -72,7 +72,8 @@ class WlanManager {
   void add_mh(Node& mh_node, std::unique_ptr<MobilityModel> mobility,
               L2Callbacks* callbacks);
 
-  /// Starts the tick loop and performs initial association.
+  /// Starts the tick loop and performs initial association (every host is
+  /// evaluated once, at the start instant).
   void start();
   void stop();
 
@@ -84,7 +85,7 @@ class WlanManager {
   Vec2 mh_position(MhId mh) const;
   NodeId attached_ap(MhId mh) const;  // kNoNode while detached
   bool in_handoff(MhId mh) const;
-  AccessPoint* ap(NodeId id);
+  AccessPoint* ap(NodeId id) const;
   /// The MH→AR radio link for `(ap, mh)`, created on demand like the
   /// association path would — fault harnesses attach TxFilters to it to
   /// kill/duplicate/delay MH-originated control messages. nullptr when the
@@ -93,6 +94,11 @@ class WlanManager {
   /// The AR→MH counterpart (PrRtAdv, FBack, FnaAck, drained packets).
   SimplexLink* downlink(NodeId ap, MhId mh);
   std::size_t handoffs_started() const { return handoffs_; }
+  /// Host evaluations so far: association checks of one host at one tick
+  /// (start() counts as tick 0). Hosts in a handoff blackout are not
+  /// evaluated, and neither is a host on a tick where it provably cannot
+  /// trigger, hand off, attach or detach.
+  std::uint64_t evaluations() const { return evaluations_; }
   /// Blackout actually used by the most recent handoff (fixed or sampled).
   SimTime last_blackout() const { return last_blackout_; }
 
@@ -103,6 +109,7 @@ class WlanManager {
     std::unique_ptr<SimplexLink> down;  // AR -> MH
     std::unique_ptr<SimplexLink> up;    // MH -> AR
   };
+  static constexpr std::uint64_t kNotDue = ~std::uint64_t{0};
   struct MhRecord {
     Node* node = nullptr;
     std::unique_ptr<MobilityModel> mobility;
@@ -110,11 +117,42 @@ class WlanManager {
     NodeId attached = kNoNode;
     bool in_handoff = false;
     std::set<NodeId> triggered;  // APs already L2-ST'd since last attach
+    // The tick this host is next evaluated at (kNotDue: only after a state
+    // change), and the last tick it was evaluated at.
+    std::uint64_t due_tick = kNotDue;
+    std::uint64_t evaluated_tick = kNotDue;
+  };
+  // A min-heap entry of due_: popping in (tick, mh) order visits a tick's
+  // due hosts in MhId order, the order of the every-host poll. An entry
+  // whose tick no longer equals its record's due_tick is stale.
+  struct DueEntry {
+    std::uint64_t tick;
+    MhId mh;
+    MhRecord* rec;
+  };
+  // What evaluate() does for a host at a position; idle() means nothing.
+  struct Decision {
+    enum class Action : std::uint8_t { kNone, kAttach, kHandoff, kDetach };
+    bool trigger = false;  // some not-yet-triggered AP covers the host
+    Action action = Action::kNone;
+    AccessPoint* target = nullptr;  // for kAttach and kHandoff
+    bool idle() const { return !trigger && action == Action::kNone; }
   };
 
   void tick();
+  /// Evaluates every host due at tick_, in MhId order.
+  void poll_due();
   void evaluate(MhId mh, MhRecord& rec);
-  AccessPoint* best_candidate(Vec2 pos, NodeId exclude);
+  Decision decide(const MhRecord& rec, Vec2 pos) const;
+  /// How far the host at `pos` must move before decide() could stop being
+  /// idle (decide() must be idle there).
+  double slack(const MhRecord& rec, Vec2 pos) const;
+  /// Queues the host at the first tick on which it may have moved `slack`.
+  void schedule_next(MhId mh, MhRecord& rec, Vec2 pos);
+  /// Queues the host at the next tick whose poll has not yet passed it.
+  void make_due(MhId mh, MhRecord& rec);
+  void queue(MhId mh, MhRecord& rec, std::uint64_t tick);
+  AccessPoint* best_candidate(Vec2 pos, NodeId exclude) const;
   void start_handoff(MhId mh, MhRecord& rec, AccessPoint& target);
   void detach(MhId mh, MhRecord& rec);
   void attach(MhId mh, MhRecord& rec, AccessPoint& target);
@@ -126,9 +164,19 @@ class WlanManager {
   void rebuild_ap_grid();
   /// APs whose coverage disc could contain `pos` (the 3x3 cell
   /// neighbourhood of the spatial hash), in insertion (= id) order — the
-  /// same order a full scan of `aps_` would visit them. Returns a reusable
-  /// scratch vector.
-  const std::vector<AccessPoint*>& nearby_aps(Vec2 pos);
+  /// same order a full scan of `aps_` would visit them. One hash lookup of
+  /// a list precomputed by rebuild_ap_grid().
+  const std::vector<AccessPoint*>& nearby_aps(Vec2 pos) const {
+    return grid_cell(pos).near;
+  }
+  // The APs listed under one spatial-hash cell: every AP of its 3x3 cell
+  // neighbourhood (in id order), and every AP of its 5x5 one, the APs
+  // slack() measures one by one.
+  struct GridCell {
+    std::vector<AccessPoint*> near;
+    std::vector<AccessPoint*> wide;
+  };
+  const GridCell& grid_cell(Vec2 pos) const;
 
   Simulation& sim_;
   WlanConfig cfg_;
@@ -139,17 +187,24 @@ class WlanManager {
   // hundreds of APs and thousands of MHs; every per-tick lookup must stay
   // O(local density), not O(field size)):
   //  * ap_index_: id -> AP, replacing the linear ap() scan;
-  //  * ap_grid_: spatial hash of AP centers with cell = max AP radius, so
-  //    any AP covering a point lies in the 3x3 neighbourhood of its cell;
+  //  * ap_grid_: spatial hash with cell = max AP radius, so any AP
+  //    covering a point lies in the 3x3 neighbourhood of its cell; each
+  //    cell maps to the APs of its neighbourhoods (GridCell);
   //  * attached_mhs_: per-AP attachment sets (MhId-ordered, matching the
   //    old whole-map walk) for router advertisement fan-out.
   std::unordered_map<NodeId, AccessPoint*> ap_index_;
-  std::unordered_map<std::uint64_t, std::vector<AccessPoint*>> ap_grid_;
-  double grid_cell_ = 0;
-  bool grid_dirty_ = false;
-  std::vector<AccessPoint*> nearby_scratch_;
+  std::unordered_map<std::uint64_t, GridCell> ap_grid_;
+  const GridCell no_aps_;  // a cell with no AP within two cells
+  double grid_cell_ = 1.0;
   std::map<NodeId, std::set<MhId>> attached_mhs_;
   bool running_ = false;
+  // Due-tick poll: tick_ is the index of the last tick that ran (start() is
+  // tick 0); while poll_due() runs, polling_mh_ is the host it evaluates.
+  std::vector<DueEntry> due_;
+  std::uint64_t tick_ = 0;
+  bool polling_ = false;
+  MhId polling_mh_ = 0;
+  std::uint64_t evaluations_ = 0;
   // Pending self-scheduled events, cancelled in the destructor so no timer
   // callback can fire into a dead manager. The tick loop and each AP's RA
   // chain keep exactly one pending event; one-shot events (forced handoffs

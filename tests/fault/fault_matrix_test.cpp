@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <string>
+#include <type_traits>
 #include <variant>
 #include <vector>
 
@@ -52,15 +54,28 @@ enum class Action { kDropOnce, kDuplicate, kDelayPastRetry, kReorder };
 /// Role-relative link selector: resolved against the attempt's old/new AR.
 enum class Where { kUpOld, kDownOld, kUpNew, kDownNew, kToNew, kToOld };
 
+/// gtest has no printer for Cell, so ctest names carry its raw bytes: it
+/// holds its labels inline rather than as pointers, and its padding as
+/// zeroed members, so every build prints the same names.
 struct Cell {
-  const char* row;   // matrix row label (thesis naming)
-  const char* wire;  // message_name() string; nullptr = HI-carrying-BR
+  char row[8];    // matrix row label (thesis naming)
+  char wire[8];   // message_name() string; "" = HI-carrying-BR
   Where where;
   Action action;
   int phase;      // 1-based occurrence of the message across the run
   int copies;     // simultaneous wire copies of one logical send
   bool baseline;  // §2.4 standalone scenario instead of a handover
+  std::uint8_t reserved[7];
 };
+static_assert(sizeof(Cell) == 40 &&
+              std::has_unique_object_representations_v<Cell>);
+
+// Copies a label of at most 7 characters into a zero-filled Cell field.
+void set_label(char (&dst)[8], const char* src) {
+  for (std::size_t i = 0; src != nullptr && src[i] != '\0' && i + 1 < 8; ++i) {
+    dst[i] = src[i];
+  }
+}
 
 const char* action_name(Action a) {
   switch (a) {
@@ -113,8 +128,15 @@ std::vector<Cell> matrix_cells() {
     const int phases = r.baseline ? baseline_phases : handover_phases;
     for (Action a : kActions) {
       for (int p = 1; p <= phases; ++p) {
-        cells.push_back(Cell{r.row, r.wire, r.where, a, p, r.copies,
-                             r.baseline});
+        Cell c{};
+        set_label(c.row, r.row);
+        set_label(c.wire, r.wire);
+        c.where = r.where;
+        c.action = a;
+        c.phase = p;
+        c.copies = r.copies;
+        c.baseline = r.baseline;
+        cells.push_back(c);
       }
     }
   }
@@ -167,7 +189,7 @@ TEST_P(FaultMatrix, InvariantsHoldUnderSingleFault) {
   const std::uint64_t base = cell.copies * (nth - 1) + 1;
 
   fault::PacketPredicate pred =
-      cell.wire != nullptr
+      cell.wire[0] != '\0'
           ? fault::message_named(cell.wire)
           : fault::PacketPredicate([](const Packet& p) {
               const auto* hi = std::get_if<HiMsg>(&p.msg);

@@ -54,15 +54,6 @@ TEST(BindingCache, RemoveIsIdempotent) {
   EXPECT_EQ(c.size(), 0u);
 }
 
-TEST(BindingCache, PurgeExpiredSweeps) {
-  BindingCache c;
-  c.update({30, 1}, {40, 1}, 0_s, 10_s);
-  c.update({30, 2}, {40, 2}, 0_s, 100_s);
-  c.purge_expired(50_s);
-  EXPECT_EQ(c.size(), 1u);
-  EXPECT_TRUE(c.lookup({30, 2}, 50_s).has_value());
-}
-
 TEST(BindingCache, IndependentKeys) {
   BindingCache c;
   c.update({30, 1}, {40, 1}, 0_s, 60_s);

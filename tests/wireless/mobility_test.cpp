@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace fhmip {
 namespace {
 
@@ -108,6 +110,41 @@ TEST(WaypointMobility, StartOffsetShiftsSchedule) {
   WaypointMobility m({0, 0}, {{{10, 0}, 10.0}}, 2_s);
   EXPECT_EQ(m.position(1_s), (Vec2{0, 0}));
   EXPECT_NEAR(m.position(2500_ms).x, 5, 1e-9);
+}
+
+TEST(SpeedBound, StaticLinearAndBounce) {
+  EXPECT_EQ(StaticPosition({5, 6}).speed_bound(0_s), 0.0);
+  LinearMobility lin({0, 0}, {3, 4}, 5_s);
+  EXPECT_DOUBLE_EQ(lin.speed_bound(0_s), 5.0);  // also before it starts
+  EXPECT_DOUBLE_EQ(lin.speed_bound(100_s), 5.0);
+  EXPECT_DOUBLE_EQ(BounceMobility({0, 0}, {100, 0}, 10.0).speed_bound(7_s),
+                   10.0);
+}
+
+TEST(SpeedBound, WaypointUsesRoundedDurationsAndFallsToZeroAtTheEnd) {
+  // 1/3 m at 1 m/s rounds to 333333333 ns, so the host actually moves a
+  // little faster than the requested speed.
+  WaypointMobility m({0, 0}, {{{1.0 / 3, 0}, 1.0}, {{1.0 / 3, 2}, 0.5}});
+  const SimTime end = SimTime::nanos(333'333'333) + 4_s;
+  EXPECT_GT(m.speed_bound(0_s), 1.0);
+  EXPECT_LT(m.speed_bound(0_s), 1.0 + 1e-8);
+  EXPECT_EQ(m.speed_bound(end - 1_ns), m.speed_bound(0_s));
+  EXPECT_EQ(m.speed_bound(end), 0.0);  // frozen from the last segment's end
+  EXPECT_EQ(m.speed_bound(100_s), 0.0);
+  EXPECT_EQ(WaypointMobility({3, 4}, {}).speed_bound(0_s), 0.0);
+}
+
+TEST(SpeedBound, ZeroSpeedLegIsATeleport) {
+  // A leg with speed 0 takes no time: the host jumps, so no finite bound
+  // holds until the walk's last segment has ended.
+  WaypointMobility m({0, 0}, {{{10, 0}, 10.0}, {{50, 0}, 0.0}, {{50, 10}, 10.0}});
+  EXPECT_EQ(m.position(1_s), (Vec2{50, 0}));
+  EXPECT_EQ(m.speed_bound(0_s), std::numeric_limits<double>::infinity());
+  EXPECT_EQ(m.speed_bound(1500_ms), std::numeric_limits<double>::infinity());
+  EXPECT_EQ(m.speed_bound(2_s), 0.0);
+  // A zero-speed leg that goes nowhere is not a jump.
+  WaypointMobility still({0, 0}, {{{0, 0}, 0.0}, {{10, 0}, 10.0}});
+  EXPECT_DOUBLE_EQ(still.speed_bound(0_s), 10.0);
 }
 
 }  // namespace

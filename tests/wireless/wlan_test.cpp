@@ -312,5 +312,69 @@ TEST_F(WlanFixture, PositionIntrospection) {
   EXPECT_FALSE(wlan.in_handoff(mh.id()));
 }
 
+TEST_F(WlanFixture, StaticFieldIsEvaluatedOnlyAtStart) {
+  // A host that never moves and has nothing left to do after attaching (no
+  // second AP covers it, it is outside the exit margin) is never due again.
+  WlanManager wlan(sim, cfg);
+  wlan.add_ap(ar1, {0, 0}, 112, nullptr);
+  wlan.add_ap(ar2, {212, 0}, 112, nullptr);
+  std::vector<Node*> hosts;
+  for (int i = 0; i < 20; ++i) {
+    hosts.push_back(&net.add_node("mh" + std::to_string(i)));
+    wlan.add_mh(*hosts.back(),
+                std::make_unique<StaticPosition>(Vec2{i * 5.0, 7}), nullptr);
+  }
+  wlan.start();
+  EXPECT_EQ(wlan.evaluations(), 20u);
+  sim.run_until(2_s);
+  EXPECT_EQ(wlan.evaluations(), 20u);
+  for (Node* h : hosts) EXPECT_NE(wlan.attached_ap(h->id()), kNoNode);
+}
+
+TEST_F(WlanFixture, HostAddedAfterStartIsEvaluatedAtTheNextTick) {
+  WlanManager wlan(sim, cfg);
+  wlan.add_ap(ar1, {0, 0}, 112, nullptr);
+  wlan.start();
+  sim.run_until(15_ms);  // tick 1 (10 ms) has run
+  wlan.add_mh(mh, std::make_unique<StaticPosition>(Vec2{10, 0}), &cb);
+  EXPECT_EQ(wlan.evaluations(), 0u);
+  sim.run_until(1_s);
+  EXPECT_EQ(wlan.evaluations(), 1u);
+  EXPECT_EQ(cb.time_of("attached"), 20_ms);
+}
+
+TEST_F(WlanFixture, StaticHostInAnOverlapIsEvaluatedUntilTriggered) {
+  // Attaching at start() leaves the second AP's trigger for the next tick,
+  // as the every-host poll did; after it the host is never due again.
+  WlanManager wlan(sim, cfg);
+  wlan.add_ap(ar1, {0, 0}, 112, nullptr);
+  wlan.add_ap(ar2, {212, 0}, 112, nullptr);
+  wlan.add_mh(mh, std::make_unique<StaticPosition>(Vec2{105, 0}), &cb);
+  wlan.start();
+  sim.run_until(1_s);
+  EXPECT_EQ(wlan.evaluations(), 2u);
+  EXPECT_EQ(cb.time_of("attached"), 0_s);
+  EXPECT_EQ(cb.time_of("trigger"), 10_ms);
+}
+
+TEST_F(WlanFixture, FrozenWalkStopsBeingEvaluated) {
+  // Walking toward the coverage edge keeps the host due; once the walk has
+  // ended (3 s) its speed bound is 0 and one more evaluation is its last.
+  WlanManager wlan(sim, cfg);
+  wlan.add_ap(ar1, {0, 0}, 112, nullptr);
+  wlan.add_mh(mh,
+              std::make_unique<WaypointMobility>(
+                  Vec2{90, 0}, std::vector<WaypointMobility::Leg>{
+                                  {{105, 0}, 5.0}}),
+              &cb);
+  wlan.start();
+  sim.run_until(5_s);
+  const std::uint64_t walked = wlan.evaluations();
+  EXPECT_GE(walked, 2u);
+  sim.run_until(60_s);
+  EXPECT_EQ(wlan.evaluations(), walked);
+  EXPECT_EQ(cb.count("attached"), 1);
+}
+
 }  // namespace
 }  // namespace fhmip
