@@ -24,18 +24,8 @@ ArAgent::ArAgent(Node& node, BufferSchemeConfig cfg, RetransmitPolicy rtx)
   // torn down without release), its packets are flushed into an accounted
   // drop bucket and the context goes with it.
   buffers_.set_reap_handler([this](BufferManager::LeaseKey k) {
-    const MhId mh = BufferManager::lease_mh(k);
-    switch (BufferManager::lease_role(k)) {
-      case ArRole::kPar:
-        teardown_par(mh, DropReason::kLeaseReclaimed);
-        break;
-      case ArRole::kNar:
-        teardown_nar(mh, DropReason::kLeaseReclaimed);
-        break;
-      case ArRole::kIntra:
-        teardown_intra(mh, DropReason::kLeaseReclaimed);
-        break;
-    }
+    teardown(BufferManager::lease_mh(k), BufferManager::lease_role(k),
+             DropReason::kLeaseReclaimed);
   });
   buffers_.set_observer(&sim, node_.name());
   obs::MetricsRegistry& m = sim.metrics();
@@ -45,9 +35,7 @@ ArAgent::ArAgent(Node& node, BufferSchemeConfig cfg, RetransmitPolicy rtx)
 }
 
 ArAgent::~ArAgent() {
-  while (!par_.empty()) teardown_par(par_.begin()->first);
-  while (!nar_.empty()) teardown_nar(nar_.begin()->first);
-  while (!intra_.empty()) teardown_intra(intra_.begin()->first);
+  teardown_all(DropReason::kBufferExpired);
   node_.routes().remove_prefix_route(prefix());
   node_.remove_control_handler(ctrl_id_);
 }
@@ -55,24 +43,24 @@ ArAgent::~ArAgent() {
 void ArAgent::fault_reset() {
   ++counters_.crashes;
   m_crashes_->inc();
-  while (!par_.empty()) {
-    teardown_par(par_.begin()->first, DropReason::kFaultInjected);
+  teardown_all(DropReason::kFaultInjected);
+  for (auto it = hosts_.begin(); it != hosts_.end();) {
+    Host& h = it->second;
+    // Post-crash state must be indistinguishable from a freshly started
+    // agent: no handover context of any kind survives.
+    FHMIP_AUDIT("fastho", !h.par && !h.nar && !h.intra);
+    h.rate = RateEstimator{};  // rate history is lost with the process
+    forget_if_idle(it++);
   }
-  while (!nar_.empty()) {
-    teardown_nar(nar_.begin()->first, DropReason::kFaultInjected);
-  }
-  while (!intra_.empty()) {
-    teardown_intra(intra_.begin()->first, DropReason::kFaultInjected);
-  }
-  rates_.clear();
-  // Post-crash state must be indistinguishable from a freshly started
-  // agent: no handover context of any kind survives.
-  FHMIP_AUDIT("fastho", par_.empty() && nar_.empty() && intra_.empty());
 }
 
-bool ArAgent::par_redirecting(MhId mh) const {
-  auto it = par_.find(mh);
-  return it != par_.end() && it->second.redirecting;
+const ArAgent::Host* ArAgent::find_host(MhId mh) const {
+  auto it = hosts_.find(mh);
+  return it == hosts_.end() ? nullptr : &it->second;
+}
+
+void ArAgent::forget_if_idle(HostTable::iterator it) {
+  if (it->second.idle()) hosts_.erase(it);
 }
 
 void ArAgent::send_control(Address dst, MessageVariant m, std::uint32_t bytes) {
@@ -140,34 +128,27 @@ void ArAgent::on_rtsolpr(const RtSolPrMsg& m, Address src) {
   // A retransmission of the transaction a live context already answers:
   // re-elicit the cached advertisement (if any), never redo allocation.
   if (m.seq != kNoCtrlSeq) {
-    if (auto iit = intra_.find(m.mh);
-        iit != intra_.end() && iit->second.rtsolpr_seq == m.seq) {
-      ++counters_.dup_rtsolpr;
-      if (iit->second.adv_sent) {
-        ++counters_.prrtadv_sent;
-        node_.send(make_control(sim, address(), pcoa, iit->second.adv_msg));
+    if (const Host* h = find_host(m.mh)) {
+      if (h->intra && h->intra->rtsolpr_seq == m.seq) {
+        ++counters_.dup_rtsolpr;
+        send_adv(h->intra->adv, pcoa);
+        return;
       }
-      return;
-    }
-    if (auto pit = par_.find(m.mh);
-        pit != par_.end() && pit->second.rtsolpr_seq == m.seq) {
-      ++counters_.dup_rtsolpr;
-      if (pit->second.adv_sent) {
-        ++counters_.prrtadv_sent;
-        node_.send(
-            make_control(sim, address(), pit->second.pcoa, pit->second.adv_msg));
+      if (h->par && h->par->rtsolpr_seq == m.seq) {
+        ++counters_.dup_rtsolpr;
+        // Unsent means the HI/HAck leg is still in flight and its own
+        // retransmission timer recovers the answer.
+        send_adv(h->par->adv, h->par->pcoa);
+        return;
       }
-      // Otherwise the HI/HAck leg is still in flight and its own
-      // retransmission timer recovers the answer.
-      return;
     }
   }
 
   // Cancellation: start time and lifetime both zero (§3.2.2.1).
   if (m.has_bi && m.bi.lifetime.is_zero() && m.bi.start_time.is_zero() &&
       m.bi.size_pkts == 0) {
-    teardown_par(m.mh);
-    teardown_intra(m.mh);
+    teardown(m.mh, ArRole::kPar);
+    teardown(m.mh, ArRole::kIntra);
     return;
   }
 
@@ -175,7 +156,7 @@ void ArAgent::on_rtsolpr(const RtSolPrMsg& m, Address src) {
     // §3.2.2.4 — pure link-layer handoff under this same router: allocate
     // locally and answer with PrRtAdv directly.
     ++counters_.intra_handoffs;
-    teardown_intra(m.mh);
+    teardown(m.mh, ArRole::kIntra);
     IntraContext ctx;
     ctx.mh = m.mh;
     ctx.rtsolpr_seq = m.seq;
@@ -187,12 +168,13 @@ void ArAgent::on_rtsolpr(const RtSolPrMsg& m, Address src) {
                                     sim.now() + life + cfg_.lease_grace);
       if (m.bi.start_time > sim.now()) {
         ctx.start_timer = sim.at(m.bi.start_time, [this, mh = m.mh] {
-          auto it = intra_.find(mh);
-          if (it != intra_.end()) it->second.buffering = true;
+          if (Host* h = find_host(mh); h != nullptr && h->intra) {
+            h->intra->buffering = true;
+          }
         });
       }
       ctx.lifetime_timer =
-          sim.in(life, [this, mh = m.mh] { teardown_intra(mh); });
+          sim.in(life, [this, mh = m.mh] { teardown(mh, ArRole::kIntra); });
     }
     PrRtAdvMsg adv;
     adv.mh = m.mh;
@@ -203,16 +185,15 @@ void ArAgent::on_rtsolpr(const RtSolPrMsg& m, Address src) {
     adv.grant.par_ok = ctx.grant > 0;
     adv.grant.par_pkts = ctx.grant;
     adv.seq = m.seq;
-    ctx.adv_msg = adv;
-    ctx.adv_sent = true;
-    intra_.emplace(m.mh, std::move(ctx));
-    ++counters_.prrtadv_sent;
-    node_.send(make_control(sim, address(), pcoa, adv));
+    ctx.adv = {adv, true};
+    std::unique_ptr<IntraContext>& intra = hosts_[m.mh].intra;
+    intra = std::make_unique<IntraContext>(std::move(ctx));
+    send_adv(intra->adv, pcoa);
     return;
   }
 
   // Inter-AR handover: open a PAR context and negotiate with the NAR.
-  teardown_par(m.mh);
+  teardown(m.mh, ArRole::kPar);
   ParContext ctx;
   ctx.mh = m.mh;
   ctx.pcoa = pcoa;
@@ -224,9 +205,9 @@ void ArAgent::on_rtsolpr(const RtSolPrMsg& m, Address src) {
     // observed downstream rate over the expected disconnection, clamped to
     // [min_request, requested].
     std::uint32_t est = cfg_.min_request_pkts;
-    if (auto it = rates_.find(m.mh); it != rates_.end()) {
-      est = std::max(est, it->second.packets_in(cfg_.expected_blackout,
-                                                sim.now()));
+    if (const Host* h = find_host(m.mh)) {
+      est = std::max(est, h->rate.packets_in(cfg_.expected_blackout,
+                                             sim.now()));
     }
     ctx.request.size_pkts = std::min(est, ctx.request.size_pkts);
   }
@@ -234,14 +215,16 @@ void ArAgent::on_rtsolpr(const RtSolPrMsg& m, Address src) {
     // Safety valve for fast-moving hosts: buffering starts even if the FBU
     // never arrives on the old link.
     ctx.start_timer = sim.at(ctx.request.start_time, [this, mh = m.mh] {
-      auto it = par_.find(mh);
-      if (it != par_.end()) it->second.redirecting = true;
+      if (Host* h = find_host(mh); h != nullptr && h->par) {
+        h->par->redirecting = true;
+      }
     });
   }
   const SimTime life =
       ctx.request.lifetime.is_zero() ? cfg_.lifetime : ctx.request.lifetime;
   ctx.lease_deadline = sim.now() + life + cfg_.lease_grace;
-  ctx.lifetime_timer = sim.in(life, [this, mh = m.mh] { teardown_par(mh); });
+  ctx.lifetime_timer =
+      sim.in(life, [this, mh = m.mh] { teardown(mh, ArRole::kPar); });
 
   HiMsg hi;
   hi.mh = m.mh;
@@ -263,17 +246,16 @@ void ArAgent::on_rtsolpr(const RtSolPrMsg& m, Address src) {
     ctx.hi_timer =
         sim.in(rtx_.timeout_for(0), [this, mh = m.mh] { hi_timeout(mh); });
   }
-  par_[m.mh] = std::move(ctx);
+  hosts_[m.mh].par = std::make_unique<ParContext>(std::move(ctx));
   ++counters_.hi_sent;
-  sim.timeline().record(sim.now(), m.mh, obs::HoEventKind::kHiSent,
-                        node_.name());
+  record(m.mh, obs::HoEventKind::kHiSent);
   send_control(nar, hi);
 }
 
 void ArAgent::hi_timeout(MhId mh) {
-  auto it = par_.find(mh);
-  if (it == par_.end()) return;
-  ParContext& ctx = it->second;
+  Host* h = find_host(mh);
+  if (h == nullptr || !h->par) return;
+  ParContext& ctx = *h->par;
   ctx.hi_timer = kInvalidEvent;
   if (ctx.hack_received || ctx.hi_exhausted) return;
   if (ctx.hi_sends > rtx_.max_retries) {
@@ -290,10 +272,8 @@ void ArAgent::hi_timeout(MhId mh) {
     adv.nar_addr = ctx.nar_addr;
     adv.nar_prefix = ctx.nar_addr.net;
     adv.seq = ctx.rtsolpr_seq;
-    ctx.adv_msg = adv;
-    ctx.adv_sent = true;
-    ++counters_.prrtadv_sent;
-    node_.send(make_control(node_.sim(), address(), ctx.pcoa, adv));
+    ctx.adv = {adv, true};
+    send_adv(ctx.adv, ctx.pcoa);
     return;
   }
   ++counters_.hi_rtx;
@@ -308,11 +288,11 @@ void ArAgent::on_hi(const HiMsg& m) {
   // A retransmitted HI re-elicits the cached HAck — it must NOT tear down
   // and re-allocate the context the first copy built (double-allocation).
   if (m.seq != kNoCtrlSeq) {
-    if (auto it = nar_.find(m.mh);
-        it != nar_.end() && it->second.hi_seq == m.seq) {
+    if (const Host* h = find_host(m.mh);
+        h != nullptr && h->nar && h->nar->hi_seq == m.seq) {
       ++counters_.dup_hi;
       ++counters_.hack_sent;
-      send_control(m.par_addr, it->second.hack_msg);
+      send_control(m.par_addr, h->nar->hack_msg);
       return;
     }
   }
@@ -328,13 +308,14 @@ void ArAgent::on_hi(const HiMsg& m) {
     send_control(m.par_addr, hack);
     return;
   }
-  teardown_nar(m.mh);
+  teardown(m.mh, ArRole::kNar);
+  Host& host = hosts_[m.mh];
   NarContext ctx;
   ctx.mh = m.mh;
   ctx.pcoa = m.pcoa;
   ctx.par_addr = m.par_addr;
   ctx.hi_seq = m.seq;
-  ctx.mh_here = attached_.count(m.mh) > 0;
+  ctx.mh_here = host.downlink != nullptr;
   // Validate the proposed NCoA against addresses already in use on this
   // subnet; a collision gets the next free interface identifier.
   Address ncoa = m.ncoa.valid() ? m.ncoa : make_coa(prefix(), m.mh);
@@ -342,21 +323,15 @@ void ArAgent::on_hi(const HiMsg& m) {
     ++ncoa_collisions_;
     // Re-use a previously assigned substitute for this host, if any — the
     // assignment is an address lease that outlives the handover context.
-    std::uint32_t host = 0;
-    for (const auto& [h, owner] : host_alias_) {
-      if (owner == m.mh) {
-        host = h;
-        break;
+    if (host.alias == 0) {
+      host.alias = ncoa.host;
+      while (reserved_hosts_.count(host.alias) > 0 ||
+             host_alias_.count(host.alias) > 0) {
+        host.alias += 100'000;  // outside the node-id space
       }
+      host_alias_[host.alias] = m.mh;
     }
-    if (host == 0) {
-      host = ncoa.host;
-      while (reserved_hosts_.count(host) > 0 || host_alias_.count(host) > 0) {
-        host += 100'000;  // outside the node-id space
-      }
-      host_alias_[host] = m.mh;
-    }
-    ncoa = make_coa(prefix(), host);
+    ncoa = make_coa(prefix(), host.alias);
   }
   const SimTime life =
       (m.has_br && !m.br.lifetime.is_zero()) ? m.br.lifetime : cfg_.lifetime;
@@ -369,18 +344,11 @@ void ArAgent::on_hi(const HiMsg& m) {
     FHMIP_AUDIT_MSG("fastho", ctx.grant <= m.br.size_pkts,
                     "granted " + std::to_string(ctx.grant) + " of " +
                         std::to_string(m.br.size_pkts));
-    if (m.br.size_pkts > 0) {
-      // Export the admission decision: did pool pressure shrink or refuse
-      // this BR? The grant itself travels back in the HAck(+BA).
-      const obs::HoEventKind kind =
-          ctx.grant == 0            ? obs::HoEventKind::kBufferDeny
-          : ctx.grant < m.br.size_pkts ? obs::HoEventKind::kBufferShrink
-                                       : obs::HoEventKind::kBufferGrant;
-      sim.timeline().record(sim.now(), m.mh, kind, node_.name());
-    }
+    // The grant itself travels back in the HAck(+BA).
+    if (m.br.size_pkts > 0) record_grant(m.mh, ctx.grant, m.br.size_pkts);
   }
-  ctx.lifetime_timer =
-      node_.sim().in(life, [this, mh = m.mh] { teardown_nar(mh); });
+  ctx.lifetime_timer = node_.sim().in(
+      life, [this, mh = m.mh] { teardown(mh, ArRole::kNar); });
   // Host route for the PCoA: packets tunneled here with the old address
   // must not bounce back toward the PAR's subnet.
   node_.routes().set_host_route(
@@ -395,7 +363,7 @@ void ArAgent::on_hi(const HiMsg& m) {
   hack.buffer_ok = ctx.grant > 0;
   hack.seq = m.seq;
   ctx.hack_msg = hack;
-  nar_[m.mh] = std::move(ctx);
+  host.nar = std::make_unique<NarContext>(std::move(ctx));
   ++counters_.hack_sent;
   send_control(m.par_addr, hack);
 }
@@ -404,9 +372,9 @@ void ArAgent::on_hack(const HackMsg& m) {
   ++counters_.hack_received;
   // HAck(+BA) answers HI(+BR): it can never precede the first HI.
   FHMIP_AUDIT("fastho", counters_.hi_sent > 0);
-  auto it = par_.find(m.mh);
-  if (it == par_.end()) return;
-  ParContext& ctx = it->second;
+  Host* h = find_host(m.mh);
+  if (h == nullptr || !h->par) return;
+  ParContext& ctx = *h->par;
   // A sequenced answer for a transaction other than the live HI is a stale
   // echo of a torn-down negotiation; a repeat for the live one is the NAR
   // answering a retransmitted HI. Neither may be processed twice.
@@ -429,8 +397,7 @@ void ArAgent::on_hack(const HackMsg& m) {
     ctx.nar_rejected = false;
   }
   ctx.hack_received = true;
-  node_.sim().timeline().record(node_.sim().now(), m.mh,
-                                obs::HoEventKind::kHackRecv, node_.name());
+  record(m.mh, obs::HoEventKind::kHackRecv);
   ctx.nar_grant = m.buffer_ok ? m.granted_pkts : 0;
   if (!m.accepted) {
     // The NAR refused the handover (authentication): no tunnel exists, so
@@ -442,10 +409,8 @@ void ArAgent::on_hack(const HackMsg& m) {
     adv.nar_addr = ctx.nar_addr;
     adv.nar_prefix = ctx.nar_addr.net;
     adv.seq = ctx.rtsolpr_seq;
-    ctx.adv_msg = adv;
-    ctx.adv_sent = true;
-    ++counters_.prrtadv_sent;
-    node_.send(make_control(node_.sim(), address(), ctx.pcoa, adv));
+    ctx.adv = {adv, true};
+    send_adv(ctx.adv, ctx.pcoa);
     return;
   }
 
@@ -460,16 +425,9 @@ void ArAgent::on_hack(const HackMsg& m) {
     const bool need_local = cfg_.mode == BufferMode::kParOnly ||
                             cfg_.classify || ctx.nar_grant == 0;
     if (need_local) {
-      ctx.par_grant =
-          buffers_.allocate(BufferManager::key(m.mh, ArRole::kPar),
-                            ctx.request.size_pkts, ctx.lease_deadline);
-      const obs::HoEventKind kind =
-          ctx.par_grant == 0 ? obs::HoEventKind::kBufferDeny
-          : ctx.par_grant < ctx.request.size_pkts
-              ? obs::HoEventKind::kBufferShrink
-              : obs::HoEventKind::kBufferGrant;
-      node_.sim().timeline().record(node_.sim().now(), m.mh, kind,
-                                    node_.name());
+      ctx.grant = buffers_.allocate(BufferManager::key(m.mh, ArRole::kPar),
+                                    ctx.request.size_pkts, ctx.lease_deadline);
+      record_grant(m.mh, ctx.grant, ctx.request.size_pkts);
     }
   }
 
@@ -481,13 +439,36 @@ void ArAgent::on_hack(const HackMsg& m) {
   adv.ncoa = m.ncoa;
   adv.grant.nar_ok = ctx.nar_grant > 0;
   adv.grant.nar_pkts = ctx.nar_grant;
-  adv.grant.par_ok = ctx.par_grant > 0;
-  adv.grant.par_pkts = ctx.par_grant;
+  adv.grant.par_ok = ctx.grant > 0;
+  adv.grant.par_pkts = ctx.grant;
   adv.seq = ctx.rtsolpr_seq;
-  ctx.adv_msg = adv;
-  ctx.adv_sent = true;
+  ctx.adv = {adv, true};
+  send_adv(ctx.adv, ctx.pcoa);
+}
+
+void ArAgent::send_adv(const CachedAdv& adv, Address to) {
+  if (!adv.sent) return;
   ++counters_.prrtadv_sent;
-  node_.send(make_control(node_.sim(), address(), ctx.pcoa, adv));
+  send_control(to, adv.msg);
+}
+
+void ArAgent::record_grant(MhId mh, std::uint32_t granted,
+                           std::uint32_t requested) {
+  // Exports the admission decision: did pool pressure shrink or refuse
+  // the request?
+  record(mh, granted == 0          ? obs::HoEventKind::kBufferDeny
+              : granted < requested ? obs::HoEventKind::kBufferShrink
+                                    : obs::HoEventKind::kBufferGrant);
+}
+
+void ArAgent::record(MhId mh, obs::HoEventKind kind) {
+  node_.sim().timeline().record(node_.sim().now(), mh, kind, node_.name());
+}
+
+bool ArAgent::fresh(CtrlSeq& last, CtrlSeq seq) {
+  if (seq != kNoCtrlSeq && last == seq) return false;
+  last = seq;
+  return true;
 }
 
 void ArAgent::send_fback(const ParContext& ctx, CtrlSeq seq,
@@ -509,14 +490,14 @@ void ArAgent::send_fback(const ParContext& ctx, CtrlSeq seq,
 }
 
 void ArAgent::on_fbu(const FbuMsg& m) {
+  Host* h = find_host(m.mh);
   // Intra-AR (link-layer) handoff: start buffering locally (§3.2.2.4).
-  if (auto iit = intra_.find(m.mh); iit != intra_.end()) {
-    IntraContext& ctx = iit->second;
-    if (m.seq != kNoCtrlSeq && ctx.last_fbu_seq == m.seq) {
-      ++counters_.dup_fbu;
-    } else {
+  if (h != nullptr && h->intra) {
+    IntraContext& ctx = *h->intra;
+    if (fresh(ctx.last_fbu_seq, m.seq)) {
       ++counters_.fbu;
-      ctx.last_fbu_seq = m.seq;
+    } else {
+      ++counters_.dup_fbu;
     }
     ctx.buffering = true;
     FbackMsg fb;
@@ -527,8 +508,7 @@ void ArAgent::on_fbu(const FbuMsg& m) {
     send_control(make_coa(prefix(), m.mh), fb);
     return;
   }
-  auto it = par_.find(m.mh);
-  if (it == par_.end()) {
+  if (h == nullptr || !h->par) {
     // Non-anticipated handoff: the FBU arrives via the new link with no
     // prepared context — redirect with no buffers (Table 3.2 case 4).
     ++counters_.fbu;
@@ -540,19 +520,19 @@ void ArAgent::on_fbu(const FbuMsg& m) {
     ctx.redirecting = true;
     ctx.last_fbu_seq = m.seq;
     ctx.lease_deadline = node_.sim().now() + cfg_.lifetime + cfg_.lease_grace;
-    ctx.lifetime_timer =
-        node_.sim().in(cfg_.lifetime, [this, mh = m.mh] { teardown_par(mh); });
-    it = par_.emplace(m.mh, std::move(ctx)).first;
-  } else if (m.seq != kNoCtrlSeq && it->second.last_fbu_seq == m.seq) {
+    ctx.lifetime_timer = node_.sim().in(
+        cfg_.lifetime, [this, mh = m.mh] { teardown(mh, ArRole::kPar); });
+    h = &hosts_[m.mh];
+    h->par = std::make_unique<ParContext>(std::move(ctx));
+  } else if (!fresh(h->par->last_fbu_seq, m.seq)) {
     // Retransmission: the binding is already in place, just re-answer.
     ++counters_.dup_fbu;
-    send_fback(it->second, m.seq, m.from_new_link);
+    send_fback(*h->par, m.seq, m.from_new_link);
     return;
   } else {
     ++counters_.fbu;
-    it->second.last_fbu_seq = m.seq;
   }
-  ParContext& ctx = it->second;
+  ParContext& ctx = *h->par;
   ctx.redirecting = true;
   // The FBU proves the MH is alive and committed to this handover: push the
   // PAR-side lease deadline out (renewal piggybacked on the exchange — the
@@ -578,25 +558,17 @@ void ArAgent::on_fna(const FnaMsg& m, Address src) {
     ++counters_.fna_ack_sent;
     send_control(src.valid() ? src : make_coa(prefix(), m.mh), ack);
   }
-  if (auto iit = intra_.find(m.mh); iit != intra_.end()) {
-    IntraContext& ctx = iit->second;
-    if (m.seq != kNoCtrlSeq && ctx.last_fna_seq == m.seq) {
-      ++counters_.dup_fna;
-    } else {
-      ctx.last_fna_seq = m.seq;
-    }
+  Host* h = find_host(m.mh);
+  if (h != nullptr && h->intra) {
+    IntraContext& ctx = *h->intra;
+    if (!fresh(ctx.last_fna_seq, m.seq)) ++counters_.dup_fna;
     ctx.buffering = false;
-    if (m.has_bf) drain_intra(m.mh);
+    if (m.has_bf) drain(ctx, ArRole::kIntra);
     return;
   }
-  auto it = nar_.find(m.mh);
-  if (it == nar_.end()) return;
-  NarContext& ctx = it->second;
-  if (m.seq != kNoCtrlSeq && ctx.last_fna_seq == m.seq) {
-    ++counters_.dup_fna;
-  } else {
-    ctx.last_fna_seq = m.seq;
-  }
+  if (h == nullptr || !h->nar) return;
+  NarContext& ctx = *h->nar;
+  if (!fresh(ctx.last_fna_seq, m.seq)) ++counters_.dup_fna;
   ctx.mh_here = true;
   // FNA = the MH arrived at this NAR; renew the buffer lease so the drain
   // (paced by drain_gap) can never race the reaper.
@@ -606,42 +578,42 @@ void ArAgent::on_fna(const FnaMsg& m, Address src) {
     BfMsg bf;
     bf.mh = m.mh;
     ++counters_.bf_sent;
-    node_.sim().timeline().record(node_.sim().now(), m.mh,
-                                  obs::HoEventKind::kBfSent, node_.name());
+    record(m.mh, obs::HoEventKind::kBfSent);
     // BF toward the PAR is only ever triggered by an FNA from the MH. A
     // duplicate FNA re-sends the BF (the previous copy may be the loss
     // that caused the retransmission); the drain entry point is
     // idempotent, so no second drain chain can start.
     FHMIP_AUDIT("fastho", counters_.bf_sent <= counters_.fna);
     send_control(ctx.par_addr, bf);
-    drain_nar(m.mh);
+    drain(ctx, ArRole::kNar);
   }
 }
 
 void ArAgent::on_bf(const BfMsg& m) {
   ++counters_.bf_received;
-  if (auto it = intra_.find(m.mh); it != intra_.end()) {
-    it->second.buffering = false;
-    it->second.forward_to = m.forward_to;
-    drain_intra(m.mh);
+  Host* h = find_host(m.mh);
+  if (h != nullptr && h->intra) {
+    h->intra->buffering = false;
+    h->intra->forward_to = m.forward_to;
+    drain(*h->intra, ArRole::kIntra);
     return;
   }
-  auto it = par_.find(m.mh);
-  if (it == par_.end()) return;
-  it->second.bf_received = true;
-  drain_par(m.mh);
+  if (h == nullptr || !h->par) return;
+  h->par->bf_received = true;
+  drain(*h->par, ArRole::kPar);
 }
 
 void ArAgent::on_buffer_full(const BufferFullMsg& m) {
   ++counters_.buffer_full_received;
-  auto it = par_.find(m.mh);
-  if (it != par_.end()) it->second.nar_full = true;
+  if (Host* h = find_host(m.mh); h != nullptr && h->par) {
+    h->par->nar_full = true;
+  }
 }
 
 void ArAgent::on_bi(const BiMsg& m) {
   // Standalone smooth-handover baseline (§2.4): allocate, acknowledge, and
   // buffer from start_time (or immediately) until BF.
-  teardown_intra(m.mh);
+  teardown(m.mh, ArRole::kIntra);
   Simulation& sim = node_.sim();
   IntraContext ctx;
   ctx.mh = m.mh;
@@ -650,27 +622,23 @@ void ArAgent::on_bi(const BiMsg& m) {
   ctx.grant = buffers_.allocate(BufferManager::key(m.mh, ArRole::kIntra),
                                 m.req.size_pkts,
                                 sim.now() + life + cfg_.lease_grace);
-  if (m.req.size_pkts > 0) {
-    const obs::HoEventKind kind =
-        ctx.grant == 0                ? obs::HoEventKind::kBufferDeny
-        : ctx.grant < m.req.size_pkts ? obs::HoEventKind::kBufferShrink
-                                      : obs::HoEventKind::kBufferGrant;
-    sim.timeline().record(sim.now(), m.mh, kind, node_.name());
-  }
+  if (m.req.size_pkts > 0) record_grant(m.mh, ctx.grant, m.req.size_pkts);
   if (m.req.start_time > sim.now()) {
     ctx.start_timer = sim.at(m.req.start_time, [this, mh = m.mh] {
-      auto it = intra_.find(mh);
-      if (it != intra_.end()) it->second.buffering = true;
+      if (Host* h = find_host(mh); h != nullptr && h->intra) {
+        h->intra->buffering = true;
+      }
     });
   } else {
     ctx.buffering = ctx.grant > 0;
   }
-  ctx.lifetime_timer = sim.in(life, [this, mh = m.mh] { teardown_intra(mh); });
+  ctx.lifetime_timer =
+      sim.in(life, [this, mh = m.mh] { teardown(mh, ArRole::kIntra); });
   BaMsg ba;
   ba.mh = m.mh;
   ba.ok = ctx.grant > 0;
   ba.granted_pkts = ctx.grant;
-  intra_[m.mh] = std::move(ctx);
+  hosts_[m.mh].intra = std::make_unique<IntraContext>(std::move(ctx));
   node_.send(make_control(sim, address(), make_coa(prefix(), m.mh), ba));
 }
 
@@ -684,14 +652,18 @@ void ArAgent::handle_subnet_packet(PacketPtr p) {
       alias != host_alias_.end()) {
     mh = alias->second;  // substituted NCoA (collision avoidance)
   }
-
-  if (auto it = nar_.find(mh); it != nar_.end()) {
-    nar_handle(it->second, std::move(p));
+  auto it = hosts_.find(mh);
+  if (it == hosts_.end()) {
+    drop(std::move(p), DropReason::kUnattached);
     return;
   }
-  if (auto it = intra_.find(mh); it != intra_.end()) {
-    IntraContext& ctx = it->second;
-    const bool attached = attached_.count(mh) > 0;
+  Host& h = it->second;
+  if (h.nar) {
+    nar_handle(h, std::move(p));
+    return;
+  }
+  if (h.intra) {
+    const IntraContext& ctx = *h.intra;
     HandoffBuffer* buf =
         buffers_.buffer(BufferManager::key(mh, ArRole::kIntra));
     // Buffering is active from the FBU / BI start until BF, regardless of
@@ -700,29 +672,17 @@ void ArAgent::handle_subnet_packet(PacketPtr p) {
     const bool hold = ctx.buffering;
     const bool keep_order = ctx.draining && buf != nullptr && !buf->empty();
     if ((hold || keep_order) && buf != nullptr) {
-      if (buf->push(p) == HandoffBuffer::PushResult::kStored) {
-        { ++counters_.buffered_local; m_buffered_->inc(); }
-      } else {
-        drop(std::move(p), DropReason::kBufferTailDrop);
-      }
+      if (!park(buf, p)) drop(std::move(p), DropReason::kBufferTailDrop);
       return;
     }
-    if (attached) {
-      deliver(mh, std::move(p));
-    } else {
-      drop(std::move(p), DropReason::kUnattached);
-    }
+    deliver(h, std::move(p));
     return;
   }
-  if (auto it = par_.find(mh); it != par_.end() && it->second.redirecting) {
-    par_redirect(it->second, std::move(p));
+  if (h.par && h.par->redirecting) {
+    par_redirect(*h.par, std::move(p));
     return;
   }
-  if (attached_.count(mh) > 0) {
-    deliver(mh, std::move(p));
-    return;
-  }
-  drop(std::move(p), DropReason::kUnattached);
+  deliver(h, std::move(p));
 }
 
 void ArAgent::par_redirect(ParContext& ctx, PacketPtr p) {
@@ -750,7 +710,7 @@ void ArAgent::par_redirect(ParContext& ctx, PacketPtr p) {
     tunnel_to(ctx.nar_addr, ForwardDirective::kForwardOnly, std::move(p));
     return;
   }
-  const AllocationCase alloc{ctx.nar_grant > 0, ctx.par_grant > 0};
+  const AllocationCase alloc{ctx.nar_grant > 0, ctx.grant > 0};
   switch (decide_buffering(cfg_, alloc, p->tclass)) {
     case BufferAction::kBufferAtNar:
       tunnel_to(ctx.nar_addr, ForwardDirective::kBufferAtNar, std::move(p));
@@ -765,11 +725,9 @@ void ArAgent::par_redirect(ParContext& ctx, PacketPtr p) {
     case BufferAction::kBufferAtParIfHeadroom: {
       HandoffBuffer* buf =
           buffers_.buffer(BufferManager::key(ctx.mh, ArRole::kPar));
-      if (buf != nullptr && buf->free_slots() > cfg_.reserve_a) {
-        if (buf->push(p) == HandoffBuffer::PushResult::kStored) {
-          { ++counters_.buffered_local; m_buffered_->inc(); }
-          return;
-        }
+      if (buf != nullptr && buf->free_slots() > cfg_.reserve_a &&
+          park(buf, p)) {
+        return;
       }
       drop(std::move(p), DropReason::kPolicyDrop);
       return;
@@ -794,30 +752,24 @@ void ArAgent::par_buffer_local(ParContext& ctx, PacketPtr p) {
     // path): allocate one now if the pool allows it.
     const std::uint32_t want =
         ctx.request.size_pkts > 0 ? ctx.request.size_pkts : cfg_.request_pkts;
-    ctx.par_grant = buffers_.allocate(k, want, ctx.lease_deadline);
+    ctx.grant = buffers_.allocate(k, want, ctx.lease_deadline);
     buf = buffers_.buffer(k);
   }
-  if (buf == nullptr || buf->push(p) != HandoffBuffer::PushResult::kStored) {
-    drop(std::move(p), DropReason::kBufferTailDrop);
-    return;
-  }
-  { ++counters_.buffered_local; m_buffered_->inc(); }
+  if (!park(buf, p)) drop(std::move(p), DropReason::kBufferTailDrop);
 }
 
-void ArAgent::nar_handle(NarContext& ctx, PacketPtr p) {
+void ArAgent::nar_handle(Host& h, PacketPtr p) {
+  NarContext& ctx = *h.nar;
   if (ctx.mh_here) {
     // Preserve ordering while a drain is in progress: arrivals meant for
     // the buffer join the back of it instead of overtaking.
     HandoffBuffer* buf =
         buffers_.buffer(BufferManager::key(ctx.mh, ArRole::kNar));
     if (ctx.draining && buf != nullptr && !buf->empty() &&
-        p->directive == ForwardDirective::kBufferAtNar) {
-      if (buf->push(p) == HandoffBuffer::PushResult::kStored) {
-        { ++counters_.buffered_local; m_buffered_->inc(); }
-        return;
-      }
+        p->directive == ForwardDirective::kBufferAtNar && park(buf, p)) {
+      return;
     }
-    deliver(ctx.mh, std::move(p));
+    deliver(h, std::move(p));
     return;
   }
   switch (p->directive) {
@@ -848,10 +800,10 @@ void ArAgent::nar_buffer(NarContext& ctx, PacketPtr p) {
     PacketPtr evicted;
     switch (buf->push_evict_oldest_realtime(p, evicted)) {
       case HandoffBuffer::PushResult::kStored:
-        { ++counters_.buffered_local; m_buffered_->inc(); }
+        count_buffered();
         return;
       case HandoffBuffer::PushResult::kStoredEvicting:
-        { ++counters_.buffered_local; m_buffered_->inc(); }
+        count_buffered();
         drop(std::move(evicted), DropReason::kBufferFrontDrop);
         return;
       case HandoffBuffer::PushResult::kRejected:
@@ -860,10 +812,7 @@ void ArAgent::nar_buffer(NarContext& ctx, PacketPtr p) {
     }
     return;
   }
-  if (buf->push(p) == HandoffBuffer::PushResult::kStored) {
-    { ++counters_.buffered_local; m_buffered_->inc(); }
-    return;
-  }
+  if (park(buf, p)) return;
   // Buffer full. High-priority packets (or any packet in class-disabled
   // dual mode) switch to PAR-side buffering: signal Buffer Full once and
   // bounce the packet back (Case 1.b — "the PAR buffers the rest").
@@ -885,22 +834,33 @@ void ArAgent::nar_buffer(NarContext& ctx, PacketPtr p) {
   drop(std::move(p), DropReason::kBufferTailDrop);
 }
 
-void ArAgent::deliver(MhId mh, PacketPtr p) {
-  auto it = attached_.find(mh);
-  if (it == attached_.end()) {
+bool ArAgent::park(HandoffBuffer* buf, PacketPtr& p) {
+  if (buf == nullptr || buf->push(p) != HandoffBuffer::PushResult::kStored) {
+    return false;
+  }
+  count_buffered();
+  return true;
+}
+
+void ArAgent::count_buffered() {
+  ++counters_.buffered_local;
+  m_buffered_->inc();
+}
+
+void ArAgent::deliver(Host& h, PacketPtr p) {
+  if (h.downlink == nullptr) {
     drop(std::move(p), DropReason::kUnattached);
     return;
   }
-  if (!p->is_control()) rates_[mh].on_packet(node_.sim().now());
+  if (!p->is_control()) h.rate.on_packet(node_.sim().now());
   p->directive = ForwardDirective::kNone;
   ++counters_.delivered_wireless;
-  it->second->transmit(std::move(p));
+  h.downlink->transmit(std::move(p));
 }
 
 double ArAgent::estimated_pps(MhId mh) const {
-  auto it = rates_.find(mh);
-  return it == rates_.end() ? 0.0
-                            : it->second.rate_pps(node_.sim().now());
+  const Host* h = find_host(mh);
+  return h == nullptr ? 0.0 : h->rate.rate_pps(node_.sim().now());
 }
 
 void ArAgent::tunnel_to(Address ar, ForwardDirective d, PacketPtr p) {
@@ -913,153 +873,88 @@ void ArAgent::tunnel_to(Address ar, ForwardDirective d, PacketPtr p) {
 // Buffer release (§3.2.2.3)
 // ---------------------------------------------------------------------------
 
-void ArAgent::drain_par(MhId mh) {
-  auto it = par_.find(mh);
-  if (it == par_.end() || it->second.draining) return;
-  it->second.draining = true;
-  node_.sim().timeline().record(node_.sim().now(), mh,
-                                obs::HoEventKind::kDrainStart, node_.name());
-  drain_par_step(mh);
+void ArAgent::drain(ContextBase& ctx, ArRole role) {
+  if (ctx.draining) return;
+  ctx.draining = true;
+  record(ctx.mh, obs::HoEventKind::kDrainStart);
+  drain_step(ctx.mh, role);
 }
 
-void ArAgent::drain_par_step(MhId mh) {
-  auto it = par_.find(mh);
-  if (it == par_.end()) return;
-  ParContext& ctx = it->second;
-  if (!ctx.draining) return;  // chain was stopped (teardown + re-create)
-  const auto k = BufferManager::key(mh, ArRole::kPar);
+void ArAgent::drain_step(MhId mh, ArRole role) {
+  Host* h = find_host(mh);
+  ContextBase* ctx = h == nullptr ? nullptr : h->context(role);
+  if (ctx == nullptr || !ctx->draining) return;  // chain was stopped
+  const auto k = BufferManager::key(mh, role);
   HandoffBuffer* buf = buffers_.buffer(k);
   if (buf == nullptr || buf->empty()) {
-    ctx.draining = false;
+    ctx->draining = false;
     buffers_.release(k);
-    ctx.par_grant = 0;
-    node_.sim().timeline().record(node_.sim().now(), mh,
-                                  obs::HoEventKind::kDrainEnd, node_.name());
+    ctx->grant = 0;
+    record(mh, obs::HoEventKind::kDrainEnd);
     return;
   }
   PacketPtr p = buf->pop();
-  { ++counters_.drained; m_drained_->inc(); }
-  tunnel_to(ctx.nar_addr, ForwardDirective::kDrain, std::move(p));
-  node_.sim().in(cfg_.drain_gap, [this, mh] { drain_par_step(mh); });
-}
-
-void ArAgent::drain_nar(MhId mh) {
-  auto it = nar_.find(mh);
-  if (it == nar_.end() || it->second.draining) return;
-  it->second.draining = true;
-  node_.sim().timeline().record(node_.sim().now(), mh,
-                                obs::HoEventKind::kDrainStart, node_.name());
-  drain_nar_step(mh);
-}
-
-void ArAgent::drain_nar_step(MhId mh) {
-  auto it = nar_.find(mh);
-  if (it == nar_.end()) return;
-  NarContext& ctx = it->second;
-  if (!ctx.draining) return;  // chain was stopped (teardown + re-create)
-  // The NAR only releases its buffer once the MH has arrived (FNA+BF).
-  FHMIP_AUDIT("fastho", ctx.mh_here);
-  const auto k = BufferManager::key(mh, ArRole::kNar);
-  HandoffBuffer* buf = buffers_.buffer(k);
-  if (buf == nullptr || buf->empty()) {
-    ctx.draining = false;
-    buffers_.release(k);
-    ctx.grant = 0;
-    node_.sim().timeline().record(node_.sim().now(), mh,
-                                  obs::HoEventKind::kDrainEnd, node_.name());
-    return;
+  ++counters_.drained;
+  m_drained_->inc();
+  switch (role) {
+    case ArRole::kPar:
+      tunnel_to(h->par->nar_addr, ForwardDirective::kDrain, std::move(p));
+      break;
+    case ArRole::kNar:
+      // The NAR only releases its buffer once the MH has arrived (FNA+BF).
+      FHMIP_AUDIT("fastho", h->nar->mh_here);
+      deliver(*h, std::move(p));
+      break;
+    case ArRole::kIntra:
+      if (h->intra->forward_to.valid()) {
+        // Smooth-handover baseline: tunnel to the MH's new care-of address.
+        tunnel_to(h->intra->forward_to, ForwardDirective::kNone, std::move(p));
+      } else {
+        deliver(*h, std::move(p));
+      }
+      break;
   }
-  PacketPtr p = buf->pop();
-  { ++counters_.drained; m_drained_->inc(); }
-  deliver(mh, std::move(p));
-  node_.sim().in(cfg_.drain_gap, [this, mh] { drain_nar_step(mh); });
-}
-
-void ArAgent::drain_intra(MhId mh) {
-  auto it = intra_.find(mh);
-  if (it == intra_.end() || it->second.draining) return;
-  it->second.draining = true;
-  node_.sim().timeline().record(node_.sim().now(), mh,
-                                obs::HoEventKind::kDrainStart, node_.name());
-  drain_intra_step(mh);
-}
-
-void ArAgent::drain_intra_step(MhId mh) {
-  auto it = intra_.find(mh);
-  if (it == intra_.end()) return;
-  IntraContext& ctx = it->second;
-  if (!ctx.draining) return;  // chain was stopped (teardown + re-create)
-  const auto k = BufferManager::key(mh, ArRole::kIntra);
-  HandoffBuffer* buf = buffers_.buffer(k);
-  if (buf == nullptr || buf->empty()) {
-    ctx.draining = false;
-    buffers_.release(k);
-    ctx.grant = 0;
-    node_.sim().timeline().record(node_.sim().now(), mh,
-                                  obs::HoEventKind::kDrainEnd, node_.name());
-    return;
-  }
-  PacketPtr p = buf->pop();
-  { ++counters_.drained; m_drained_->inc(); }
-  if (ctx.forward_to.valid()) {
-    // Smooth-handover baseline: tunnel to the MH's new care-of address.
-    p->directive = ForwardDirective::kNone;
-    p->encapsulate(ctx.forward_to);
-    node_.send(std::move(p));
-  } else {
-    deliver(mh, std::move(p));
-  }
-  node_.sim().in(cfg_.drain_gap, [this, mh] { drain_intra_step(mh); });
+  node_.sim().in(cfg_.drain_gap, [this, mh, role] { drain_step(mh, role); });
 }
 
 // ---------------------------------------------------------------------------
 // Context teardown
 // ---------------------------------------------------------------------------
 
-void ArAgent::teardown_par(MhId mh, DropReason reason) {
-  auto it = par_.find(mh);
-  if (it == par_.end()) return;
-  ParContext& ctx = it->second;
-  node_.sim().cancel(ctx.start_timer);
-  node_.sim().cancel(ctx.lifetime_timer);
-  if (ctx.hi_timer != kInvalidEvent) node_.sim().cancel(ctx.hi_timer);
-  const auto k = BufferManager::key(mh, ArRole::kPar);
+void ArAgent::teardown(MhId mh, ArRole role, DropReason reason) {
+  auto it = hosts_.find(mh);
+  if (it == hosts_.end()) return;
+  Host& h = it->second;
+  ContextBase* ctx = h.context(role);
+  if (ctx == nullptr) return;
+  Simulation& sim = node_.sim();
+  sim.cancel(ctx->start_timer);
+  sim.cancel(ctx->lifetime_timer);
+  if (role == ArRole::kPar) sim.cancel(h.par->hi_timer);
+  if (role == ArRole::kNar) node_.routes().remove_host_route(h.nar->pcoa);
+  const auto k = BufferManager::key(mh, role);
   if (HandoffBuffer* buf = buffers_.buffer(k)) {
     buf->flush(
         [this, reason](PacketPtr p) { drop(std::move(p), reason); });
   }
   buffers_.release(k);
-  par_.erase(it);
+  if (role == ArRole::kPar) {
+    h.par.reset();
+  } else if (role == ArRole::kNar) {
+    h.nar.reset();
+  } else {
+    h.intra.reset();
+  }
+  forget_if_idle(it);
 }
 
-void ArAgent::teardown_nar(MhId mh, DropReason reason) {
-  auto it = nar_.find(mh);
-  if (it == nar_.end()) return;
-  NarContext& ctx = it->second;
-  node_.sim().cancel(ctx.lifetime_timer);
-  node_.routes().remove_host_route(ctx.pcoa);
-  const auto k = BufferManager::key(mh, ArRole::kNar);
-  if (HandoffBuffer* buf = buffers_.buffer(k)) {
-    buf->flush(
-        [this, reason](PacketPtr p) { drop(std::move(p), reason); });
+void ArAgent::teardown_all(DropReason reason) {
+  for (ArRole role : {ArRole::kPar, ArRole::kNar, ArRole::kIntra}) {
+    for (auto it = hosts_.begin(); it != hosts_.end();) {
+      const MhId mh = (it++)->first;  // teardown may erase the record
+      teardown(mh, role, reason);
+    }
   }
-  buffers_.release(k);
-  nar_.erase(it);
-}
-
-void ArAgent::teardown_intra(MhId mh, DropReason reason) {
-  auto it = intra_.find(mh);
-  if (it == intra_.end()) return;
-  IntraContext& ctx = it->second;
-  node_.sim().cancel(ctx.start_timer);
-  node_.sim().cancel(ctx.lifetime_timer);
-  const auto k = BufferManager::key(mh, ArRole::kIntra);
-  if (HandoffBuffer* buf = buffers_.buffer(k)) {
-    buf->flush(
-        [this, reason](PacketPtr p) { drop(std::move(p), reason); });
-  }
-  buffers_.release(k);
-  intra_.erase(it);
 }
 
 // ---------------------------------------------------------------------------
@@ -1067,10 +962,16 @@ void ArAgent::teardown_intra(MhId mh, DropReason reason) {
 // ---------------------------------------------------------------------------
 
 void ArAgent::on_mh_attached(MhId mh, NodeId /*ap*/, SimplexLink& downlink) {
-  attached_[mh] = &downlink;
-  if (auto it = nar_.find(mh); it != nar_.end()) it->second.mh_here = true;
+  Host& h = hosts_[mh];
+  h.downlink = &downlink;
+  if (h.nar) h.nar->mh_here = true;
 }
 
-void ArAgent::on_mh_detached(MhId mh) { attached_.erase(mh); }
+void ArAgent::on_mh_detached(MhId mh) {
+  auto it = hosts_.find(mh);
+  if (it == hosts_.end()) return;
+  it->second.downlink = nullptr;
+  forget_if_idle(it);
+}
 
 }  // namespace fhmip

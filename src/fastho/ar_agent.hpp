@@ -3,7 +3,9 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <set>
+#include <utility>
 
 #include "buffer/buffer_manager.hpp"
 #include "buffer/policy.hpp"
@@ -106,70 +108,103 @@ class ArAgent : public ArAttachListener {
   double estimated_pps(MhId mh) const;
   const Counters& counters() const { return counters_; }
   const BufferSchemeConfig& config() const { return cfg_; }
-  const RetransmitPolicy& rtx_policy() const { return rtx_; }
-  bool mh_attached(MhId mh) const { return attached_.count(mh) > 0; }
-  bool has_par_context(MhId mh) const { return par_.count(mh) > 0; }
-  bool has_nar_context(MhId mh) const { return nar_.count(mh) > 0; }
-  bool par_redirecting(MhId mh) const;
+  bool mh_attached(MhId mh) const {
+    const Host* h = find_host(mh);
+    return h != nullptr && h->downlink != nullptr;
+  }
+  bool has_par_context(MhId mh) const {
+    const Host* h = find_host(mh);
+    return h != nullptr && h->par;
+  }
+  bool has_nar_context(MhId mh) const {
+    const Host* h = find_host(mh);
+    return h != nullptr && h->nar;
+  }
 
  private:
-  struct ParContext {
+  // What the drain chain and the teardown need of any role's context.
+  struct ContextBase {
     MhId mh = kNoNode;
+    std::uint32_t grant = 0;   // local lease size (0 = none)
+    bool draining = false;
+    EventId start_timer = kInvalidEvent;  // never armed by the NAR role
+    EventId lifetime_timer = kInvalidEvent;
+  };
+  // The last PrRtAdv answered to a solicitation, re-sent on a duplicate.
+  struct CachedAdv {
+    PrRtAdvMsg msg;
+    bool sent = false;
+  };
+  struct ParContext : ContextBase {
     Address pcoa;
     Address nar_addr;
-    std::uint32_t par_grant = 0;   // local lease size (0 = none)
     std::uint32_t nar_grant = 0;   // what the NAR granted via HAck+BA
     bool nar_rejected = false;     // HAck refused / negotiation exhausted
     bool hack_received = false;
     bool redirecting = false;
     bool nar_full = false;         // Buffer Full received from the NAR
     bool bf_received = false;      // NAR released; stop buffering
-    bool draining = false;
     BufferRequest request;
     SimTime lease_deadline;        // reaper backstop for local allocations
-    EventId start_timer = kInvalidEvent;
-    EventId lifetime_timer = kInvalidEvent;
     // Reliability: the solicitation transaction this context answers, the
     // cached HI for retransmission, and the cached advertisement for
     // duplicate solicitations.
     CtrlSeq rtsolpr_seq = kNoCtrlSeq;
     CtrlSeq last_fbu_seq = kNoCtrlSeq;
     HiMsg hi_msg;
-    PrRtAdvMsg adv_msg;
-    bool adv_sent = false;
+    CachedAdv adv;
     bool hi_exhausted = false;
     EventId hi_timer = kInvalidEvent;
     std::uint32_t hi_sends = 0;
   };
-  struct NarContext {
-    MhId mh = kNoNode;
+  struct NarContext : ContextBase {
     Address pcoa;
     Address par_addr;
-    std::uint32_t grant = 0;
     bool mh_here = false;  // FNA received / attach seen
     bool full_signalled = false;
-    bool draining = false;
-    EventId lifetime_timer = kInvalidEvent;
     // Reliability: the HI transaction that built this context, with the
     // cached HAck a duplicate HI re-elicits (no re-allocation).
     CtrlSeq hi_seq = kNoCtrlSeq;
     CtrlSeq last_fna_seq = kNoCtrlSeq;
     HackMsg hack_msg;
   };
-  struct IntraContext {
-    MhId mh = kNoNode;
-    std::uint32_t grant = 0;
+  struct IntraContext : ContextBase {
     bool buffering = false;
-    bool draining = false;
     Address forward_to;  // standalone-BF forwarding target (baseline mode)
-    EventId start_timer = kInvalidEvent;
-    EventId lifetime_timer = kInvalidEvent;
     CtrlSeq rtsolpr_seq = kNoCtrlSeq;
     CtrlSeq last_fbu_seq = kNoCtrlSeq;
     CtrlSeq last_fna_seq = kNoCtrlSeq;
-    PrRtAdvMsg adv_msg;
-    bool adv_sent = false;
+    CachedAdv adv;
   };
+  // Everything this router knows about one host, in whichever roles it
+  // plays for it. The record lives while the host is attached, holds a
+  // context, has rate history or owns an NCoA alias, and no longer.
+  struct Host {
+    std::unique_ptr<ParContext> par;
+    std::unique_ptr<NarContext> nar;
+    std::unique_ptr<IntraContext> intra;
+    SimplexLink* downlink = nullptr;  // attached when non-null
+    RateEstimator rate;               // downstream rate, kept on detach
+    std::uint32_t alias = 0;          // substituted NCoA host id (0 = none)
+
+    ContextBase* context(ArRole role) const {
+      if (role == ArRole::kPar) return par.get();
+      if (role == ArRole::kNar) return nar.get();
+      return intra.get();
+    }
+    bool idle() const {
+      return !par && !nar && !intra && downlink == nullptr &&
+             rate.total_packets() == 0 && alias == 0;
+    }
+  };
+  using HostTable = std::map<MhId, Host>;
+
+  const Host* find_host(MhId mh) const;
+  Host* find_host(MhId mh) {
+    return const_cast<Host*>(std::as_const(*this).find_host(mh));
+  }
+  // Erases the record once nothing keeps it alive.
+  void forget_if_idle(HostTable::iterator it);
 
   // Control-plane handlers.
   bool handle_control(PacketPtr& p);
@@ -181,32 +216,39 @@ class ArAgent : public ArAttachListener {
   void on_bf(const BfMsg& m);
   void on_buffer_full(const BufferFullMsg& m);
   void on_bi(const BiMsg& m);
+  // False for a retransmission of the last sequenced message `last`
+  // recorded; otherwise records `seq` as the last one.
+  static bool fresh(CtrlSeq& last, CtrlSeq seq);
   void send_fback(const ParContext& ctx, CtrlSeq seq, bool from_new_link);
+  void send_adv(const CachedAdv& adv, Address to);
+  void record_grant(MhId mh, std::uint32_t granted, std::uint32_t requested);
+  // Appends a handover-timeline record observed at this router, now.
+  void record(MhId mh, obs::HoEventKind kind);
   void hi_timeout(MhId mh);
 
   // Data plane.
   void handle_subnet_packet(PacketPtr p);
   void par_redirect(ParContext& ctx, PacketPtr p);
   void par_buffer_local(ParContext& ctx, PacketPtr p);
-  void nar_handle(NarContext& ctx, PacketPtr p);
+  void nar_handle(Host& h, PacketPtr p);
   void nar_buffer(NarContext& ctx, PacketPtr p);
-  void deliver(MhId mh, PacketPtr p);
+  bool park(HandoffBuffer* buf, PacketPtr& p);
+  void count_buffered();
+  void deliver(Host& h, PacketPtr p);
   void tunnel_to(Address ar, ForwardDirective d, PacketPtr p);
   void drop(PacketPtr p, DropReason reason);
 
-  // Buffer release (§3.2.2.3), paced by cfg_.drain_gap. The public entry
-  // points are idempotent (a live chain is never doubled by a duplicate
-  // FNA/BF); the _step functions self-reschedule while packets remain.
-  void drain_par(MhId mh);
-  void drain_nar(MhId mh);
-  void drain_intra(MhId mh);
-  void drain_par_step(MhId mh);
-  void drain_nar_step(MhId mh);
-  void drain_intra_step(MhId mh);
+  // Buffer release (§3.2.2.3), paced by cfg_.drain_gap. drain() is
+  // idempotent (a live chain is never doubled by a duplicate FNA/BF);
+  // drain_step() self-reschedules while packets remain.
+  void drain(ContextBase& ctx, ArRole role);
+  void drain_step(MhId mh, ArRole role);
 
-  void teardown_par(MhId mh, DropReason reason = DropReason::kBufferExpired);
-  void teardown_nar(MhId mh, DropReason reason = DropReason::kBufferExpired);
-  void teardown_intra(MhId mh, DropReason reason = DropReason::kBufferExpired);
+  void teardown(MhId mh, ArRole role,
+                DropReason reason = DropReason::kBufferExpired);
+  // Tears down every context role-major: all PAR contexts, then all NAR,
+  // then all intra-AR, each in MhId order (the order of their drops).
+  void teardown_all(DropReason reason);
 
   void send_control(Address dst, MessageVariant m,
                     std::uint32_t bytes = kCtrlMsgBytes);
@@ -222,11 +264,7 @@ class ArAgent : public ArAttachListener {
   obs::Counter* m_drained_ = nullptr;
   obs::Counter* m_crashes_ = nullptr;
   std::function<Node*(NodeId)> ap_resolver_;
-  std::map<MhId, ParContext> par_;
-  std::map<MhId, NarContext> nar_;
-  std::map<MhId, IntraContext> intra_;
-  std::map<MhId, SimplexLink*> attached_;
-  std::map<MhId, RateEstimator> rates_;
+  HostTable hosts_;
   HandoverAuthenticator auth_;
   std::set<std::uint32_t> reserved_hosts_;
   std::map<std::uint32_t, MhId> host_alias_;  // substituted NCoA hosts

@@ -18,14 +18,15 @@ MapAgent::~MapAgent() {
 
 void MapAgent::intercept(PacketPtr p) {
   Simulation& sim = node_.sim();
-  const auto coa = bindings_.lookup(p->dst, sim.now());
-  if (!coa) {
+  const BindingEntry* binding = bindings_.find(p->dst, sim.now());
+  if (binding == nullptr) {
     sim.drop(std::move(p), DropReason::kNoRoute, node_.name().c_str());
     return;
   }
+  const Address coa = binding->coa;
   // Simultaneous binding: bicast a copy toward the secondary care-of
   // address (the duplicate does not count as a fresh `sent`).
-  if (const auto second = secondary_.lookup(p->dst, sim.now())) {
+  if (const auto second = binding->live_secondary(sim.now())) {
     auto copy = p->clone(sim.next_uid());
     copy->encapsulate(*second);
     ++bicast_;
@@ -33,7 +34,7 @@ void MapAgent::intercept(PacketPtr p) {
     node_.send(std::move(copy));
   }
   ++tunneled_;
-  p->encapsulate(*coa);
+  p->encapsulate(coa);
   node_.send(std::move(p));
 }
 
@@ -43,10 +44,10 @@ bool MapAgent::handle_control(PacketPtr& p) {
   Simulation& sim = node_.sim();
   ++updates_;
   if (bu->simultaneous) {
-    secondary_.update(bu->regional, bu->lcoa, sim.now(), bu->lifetime);
+    bindings_.update_secondary(bu->regional, bu->lcoa, sim.now(),
+                               bu->lifetime);
   } else {
     bindings_.update(bu->regional, bu->lcoa, sim.now(), bu->lifetime);
-    secondary_.remove(bu->regional);
   }
   BindingAckMsg ack;
   ack.mh = bu->mh;

@@ -24,10 +24,10 @@ class MapAgent {
   Address address() const { return node_.address(); }
   std::uint32_t regional_prefix() const { return node_.address().net; }
 
+  /// Primary and secondary (simultaneous binding, §3.1.1) bindings: with
+  /// a live secondary, intercepted packets are bicast to both care-of
+  /// addresses.
   BindingCache& bindings() { return bindings_; }
-  /// Secondary bindings (simultaneous binding, §3.1.1): when present,
-  /// intercepted packets are bicast to both care-of addresses.
-  BindingCache& secondary_bindings() { return secondary_; }
 
   std::uint64_t packets_tunneled() const { return tunneled_; }
   std::uint64_t packets_bicast() const { return bicast_; }
@@ -40,7 +40,6 @@ class MapAgent {
   Node& node_;
   Node::ControlHandlerId ctrl_id_ = 0;
   BindingCache bindings_;
-  BindingCache secondary_;
   std::uint64_t tunneled_ = 0;
   std::uint64_t bicast_ = 0;
   std::uint64_t updates_ = 0;

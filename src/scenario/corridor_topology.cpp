@@ -59,12 +59,10 @@ CorridorTopology::CorridorTopology(const CorridorConfig& cfg)
   mh_cfg.rtx = cfg.rtx;
   mh_cfg.outcomes = &outcomes_;
   mh_agent_ = std::make_unique<MhAgent>(*mh_, mh_cfg, mip_.get());
-  const double length = cfg.ap_spacing_m * (cfg.num_ars - 1);
   wlan_->add_mh(*mh_,
                 std::make_unique<LinearMobility>(
                     Vec2{0, 0}, Vec2{cfg.speed_mps, 0}, cfg.mobility_start),
                 mh_agent_.get());
-  (void)length;
 }
 
 void CorridorTopology::start() { wlan_->start(); }

@@ -139,10 +139,14 @@ TEST_F(MapFixture, OrdinaryUpdateClearsSecondaryBinding) {
   mip.send_binding_update(lcoa(), 60_s);
   mip.send_simultaneous_binding({50, mh.id()}, 60_s);
   sim.run();
-  EXPECT_EQ(map->secondary_bindings().size(), 1u);
+  const BindingEntry* b = map->bindings().find(regional(), sim.now());
+  ASSERT_NE(b, nullptr);
+  EXPECT_EQ(b->live_secondary(sim.now()), (Address{50, mh.id()}));
   mip.send_binding_update(lcoa(), 60_s);  // e.g. after attach completes
   sim.run();
-  EXPECT_EQ(map->secondary_bindings().size(), 0u);
+  b = map->bindings().find(regional(), sim.now());
+  ASSERT_NE(b, nullptr);
+  EXPECT_FALSE(b->live_secondary(sim.now()).has_value());
   auto p = make_packet(sim, {10, 1}, regional(), 100);
   cn.send(std::move(p));
   sim.run();
