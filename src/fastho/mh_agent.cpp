@@ -88,12 +88,7 @@ void MhAgent::resolve_outcome(HandoverOutcome outcome, HandoverCause cause) {
   outcome_pending_ = false;
   pending_cause_ = HandoverCause::kNone;
   disarm_watchdog();
-  Simulation& sim = node_.sim();
-  const PhaseBreakdown phases =
-      sim.timeline().resolve(sim.now(), id(), outcome, cause);
-  if (cfg_.outcomes != nullptr) {
-    cfg_.outcomes->record(id(), sim.now(), outcome, cause, phases);
-  }
+  node_.sim().timeline().resolve(node_.sim().now(), id(), outcome, cause);
 }
 
 void MhAgent::mark(HoEventKind kind) {

@@ -30,8 +30,8 @@ namespace fhmip {
 /// the retry cap is hit. Exhaustion degrades gracefully: a missing PrRtAdv
 /// abandons anticipation, an unconfirmed FBU is reissued from the new link
 /// (the reactive path, §2.3.2), and only an unacknowledged reactive FBU
-/// marks the attempt failed. Outcomes are reported per attempt to the
-/// configured HandoverOutcomeRecorder.
+/// marks the attempt failed. Each attempt's outcome and cause are resolved
+/// on the simulation's HandoverTimeline, which stores it.
 class MhAgent : public L2Callbacks {
  public:
   struct Config {
@@ -67,8 +67,6 @@ class MhAgent : public L2Callbacks {
     /// unconfirmed predictive FBU. Must cover the whole attempt: the
     /// anticipation window plus the blackout plus the FNA exchange.
     SimTime watchdog;
-    /// Per-attempt handover outcome sink (optional; not owned).
-    HandoverOutcomeRecorder* outcomes = nullptr;
   };
 
   struct Counters {
@@ -132,7 +130,6 @@ class MhAgent : public L2Callbacks {
   void on_prrtadv(const PrRtAdvMsg& m);
   void on_fback(const FbackMsg& m);
   void send_rtsolpr(NodeId target_ap);
-  void resend_rtsolpr();
   void rtsolpr_timeout();
   void send_fbu(Address to, Address nar_addr, bool from_new_link);
   void send_reactive_fbu();

@@ -65,25 +65,29 @@ const char* to_string(HoEventKind kind) {
   return "?";
 }
 
-void HandoverTimeline::set_registry(MetricsRegistry* registry) {
-  registry_ = registry;
-  if (registry_ == nullptr) return;
-  registry_->histogram("handover/phase/anticipation_ms", phase_bounds_ms());
-  registry_->histogram("handover/phase/fbu_fback_ms", phase_bounds_ms());
-  registry_->histogram("handover/phase/blackout_ms", phase_bounds_ms());
-  registry_->histogram("handover/phase/total_ms", phase_bounds_ms());
-  registry_->counter("handover/outcome/predictive");
-  registry_->counter("handover/outcome/reactive");
-  registry_->counter("handover/outcome/failed");
+void HandoverTimeline::set_registry(MetricsRegistry& registry) {
+  anticipation_ms_ = &registry.histogram("handover/phase/anticipation_ms",
+                                         phase_bounds_ms());
+  fbu_fback_ms_ =
+      &registry.histogram("handover/phase/fbu_fback_ms", phase_bounds_ms());
+  blackout_ms_ =
+      &registry.histogram("handover/phase/blackout_ms", phase_bounds_ms());
+  total_ms_ = &registry.histogram("handover/phase/total_ms", phase_bounds_ms());
+  for (int i = 0; i < kNumHandoverOutcomes; ++i) {
+    outcome_count_[i] =
+        &registry.counter(std::string("handover/outcome/") +
+                          to_string(static_cast<HandoverOutcome>(i)));
+  }
 }
 
 HandoverTimeline::OpenAttempt& HandoverTimeline::open_for(SimTime at,
                                                           MhId mh) {
   OpenAttempt& a = open_[mh];
   if (!a.open) {
+    const std::uint32_t ordinal = a.ordinal + 1;
     a = OpenAttempt{};
     a.open = true;
-    a.ordinal = ++next_ordinal_[mh];
+    a.ordinal = ordinal;
     a.started = at;
   }
   return a;
@@ -162,49 +166,33 @@ void HandoverTimeline::append_record(HoEventRecord&& r) {
   }
 }
 
-PhaseBreakdown HandoverTimeline::resolve(SimTime at, MhId mh,
-                                         HandoverOutcome outcome,
-                                         HandoverCause cause) {
+const HandoverAttempt& HandoverTimeline::resolve(SimTime at, MhId mh,
+                                                 HandoverOutcome outcome,
+                                                 HandoverCause cause) {
   OpenAttempt& a = open_for(at, mh);
   a.phases.total = at - a.started;
-  a.phases.has_total = true;
   append_record({at, mh, HoEventKind::kResolved, to_string(outcome),
                  a.ordinal});
-
-  HoAttempt done;
-  done.mh = mh;
-  done.ordinal = a.ordinal;
-  done.started = a.started;
-  done.resolved = at;
-  done.outcome = outcome;
-  done.cause = cause;
-  done.phases = a.phases;
-  attempts_.push_back(done);
   a.open = false;
+  const HandoverAttempt& done = outcomes_.record(
+      {mh, a.ordinal, a.started, at, outcome, cause, a.phases});
 
-  if (registry_ != nullptr) {
+  if (total_ms_ != nullptr) {
     const PhaseBreakdown& p = done.phases;
     if (p.has_anticipation)
-      registry_->histogram("handover/phase/anticipation_ms", {})
-          .observe(p.anticipation.millis_f());
-    if (p.has_fbu_fback)
-      registry_->histogram("handover/phase/fbu_fback_ms", {})
-          .observe(p.fbu_fback.millis_f());
-    if (p.has_blackout)
-      registry_->histogram("handover/phase/blackout_ms", {})
-          .observe(p.blackout.millis_f());
-    registry_->histogram("handover/phase/total_ms", {})
-        .observe(p.total.millis_f());
-    registry_->counter(std::string("handover/outcome/") + to_string(outcome))
-        .inc();
+      anticipation_ms_->observe(p.anticipation.millis_f());
+    if (p.has_fbu_fback) fbu_fback_ms_->observe(p.fbu_fback.millis_f());
+    if (p.has_blackout) blackout_ms_->observe(p.blackout.millis_f());
+    total_ms_->observe(p.total.millis_f());
+    outcome_count_[static_cast<int>(outcome)]->inc();
   }
   if (resolve_hook_) resolve_hook_(done);
-  return done.phases;
+  return done;
 }
 
-std::vector<HoAttempt> HandoverTimeline::attempts_for(MhId mh) const {
-  std::vector<HoAttempt> out;
-  for (const auto& a : attempts_)
+std::vector<HandoverAttempt> HandoverTimeline::attempts_for(MhId mh) const {
+  std::vector<HandoverAttempt> out;
+  for (const auto& a : attempts())
     if (a.mh == mh) out.push_back(a);
   return out;
 }

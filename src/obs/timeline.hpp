@@ -11,6 +11,8 @@
 
 namespace fhmip::obs {
 
+class Counter;
+class Histogram;
 class MetricsRegistry;
 
 /// Typed control-plane event kinds recorded on the handover timeline. One
@@ -53,31 +55,23 @@ struct HoEventRecord {
                               // attempts, e.g. a stray drain)
 };
 
-/// A closed handover attempt with its event span and derived phase latencies.
-struct HoAttempt {
-  MhId mh = kNoNode;
-  std::uint32_t ordinal = 0;  // 1-based per MH
-  SimTime started;
-  SimTime resolved;
-  HandoverOutcome outcome = HandoverOutcome::kPredictive;
-  HandoverCause cause = HandoverCause::kNone;
-  PhaseBreakdown phases;
-};
-
 /// Handover timeline tracer, owned by the Simulation next to the packet
 /// trace. Agents record protocol steps as they execute them; the timeline
 /// groups records into per-MH attempts (opened by the first trigger/detach/
-/// solicitation, closed by `resolve`) and derives the per-phase latency
-/// breakdown that feeds stats/handover_outcomes and the
-/// `handover/phase/*_ms` histograms of the metrics registry. Event volume is
+/// solicitation, closed by `resolve`), derives each attempt's per-phase
+/// latency breakdown, and owns the simulation's one store of resolved
+/// attempts (`outcomes()`, a stats/handover_outcomes recorder that `resolve`
+/// alone writes) plus the `handover/phase/*_ms` histograms and
+/// `handover/outcome/*` counters of the metrics registry. Event volume is
 /// control-plane rate (a handful of records per handover), so the timeline
 /// is always on.
 class HandoverTimeline {
  public:
-  using ResolveHook = std::function<void(const HoAttempt&)>;
+  using ResolveHook = std::function<void(const HandoverAttempt&)>;
 
-  /// Registers the `handover/phase/*_ms` histograms and outcome counters.
-  void set_registry(MetricsRegistry* registry);
+  /// Registers the `handover/phase/*_ms` histograms and outcome counters
+  /// and keeps their handles; `registry` must outlive the timeline.
+  void set_registry(MetricsRegistry& registry);
   /// Bounds the raw record log: with a cap (> 0) only the most recent
   /// `cap` records are kept (amortized — the log grows to 2*cap, then the
   /// oldest half is trimmed in one move), and `dropped_records()` counts
@@ -86,7 +80,6 @@ class HandoverTimeline {
   /// attempts/metrics are unaffected — only `records()`/`format_timeline()`
   /// lose their oldest entries.
   void set_record_cap(std::size_t cap) { record_cap_ = cap; }
-  std::size_t record_cap() const { return record_cap_; }
   std::uint64_t dropped_records() const { return dropped_records_; }
   /// Invoked after every attempt closes — property tests use this to check
   /// ledger conservation at each handover boundary.
@@ -96,23 +89,31 @@ class HandoverTimeline {
   void record(SimTime at, MhId mh, HoEventKind kind, const std::string& where);
 
   /// Closes the in-flight attempt for `mh` (opening and closing one if none
-  /// is, so unanticipated reattachments still count) and returns its derived
-  /// phase breakdown.
-  PhaseBreakdown resolve(SimTime at, MhId mh, HandoverOutcome outcome,
-                         HandoverCause cause);
+  /// is, so unanticipated reattachments still count), stores it in
+  /// `outcomes()` and returns the stored attempt (valid until the next
+  /// `resolve`).
+  const HandoverAttempt& resolve(SimTime at, MhId mh, HandoverOutcome outcome,
+                                 HandoverCause cause);
 
   const std::vector<HoEventRecord>& records() const { return records_; }
-  const std::vector<HoAttempt>& attempts() const { return attempts_; }
+  /// Every resolved attempt, in resolution order.
+  const std::vector<HandoverAttempt>& attempts() const {
+    return outcomes_.history();
+  }
   /// Attempts resolved for one MH, in resolution order.
-  std::vector<HoAttempt> attempts_for(MhId mh) const;
+  std::vector<HandoverAttempt> attempts_for(MhId mh) const;
+  /// The attempt store with its per-outcome and per-cause tallies.
+  const HandoverOutcomeRecorder& outcomes() const { return outcomes_; }
 
   /// Deterministic one-line-per-record rendering:
   ///   "T 2.200000 mh 100 a1 fbu-sent @mh1".
   std::string format_timeline() const;
 
  private:
+  /// Per-MH state, kept after the attempt closes so the next one continues
+  /// the ordinal count.
   struct OpenAttempt {
-    std::uint32_t ordinal = 0;
+    std::uint32_t ordinal = 0;  // of the open attempt, else the last closed
     SimTime started;
     bool open = false;
     // Phase anchors (valid when the matching `saw_` flag is set).
@@ -127,10 +128,14 @@ class HandoverTimeline {
   std::vector<HoEventRecord> records_;
   std::size_t record_cap_ = 0;
   std::uint64_t dropped_records_ = 0;
-  std::vector<HoAttempt> attempts_;
+  HandoverOutcomeRecorder outcomes_;
   std::map<MhId, OpenAttempt> open_;
-  std::map<MhId, std::uint32_t> next_ordinal_;
-  MetricsRegistry* registry_ = nullptr;
+  // Registry series, resolved once by `set_registry` (null without one).
+  Histogram* anticipation_ms_ = nullptr;
+  Histogram* fbu_fback_ms_ = nullptr;
+  Histogram* blackout_ms_ = nullptr;
+  Histogram* total_ms_ = nullptr;
+  Counter* outcome_count_[kNumHandoverOutcomes] = {};
   ResolveHook resolve_hook_;
 };
 

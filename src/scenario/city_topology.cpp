@@ -128,7 +128,6 @@ CityTopology::CityTopology(const CityConfig& cfg)
   mh_cfg.scheme = cfg.scheme;
   mh_cfg.rtx = cfg.rtx;
   mh_cfg.watchdog = cfg.watchdog;
-  mh_cfg.outcomes = &outcomes_;
 
   // The population stream is separate from the simulation RNG so scenario
   // generation never perturbs protocol-level draws (RA stagger, jitter).

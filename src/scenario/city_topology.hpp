@@ -102,7 +102,9 @@ class CityTopology {
   WlanManager& wlan() { return *wlan_; }
   Mobile& mobile(std::size_t i) { return mobiles_.at(i); }
   std::size_t num_mobiles() const { return mobiles_.size(); }
-  HandoverOutcomeRecorder& outcomes() { return outcomes_; }
+  const HandoverOutcomeRecorder& outcomes() const {
+    return sim_.timeline().outcomes();
+  }
   const CityConfig& config() const { return cfg_; }
   /// The city footprint the population roams (AP field plus one radius of
   /// margin).
@@ -128,7 +130,6 @@ class CityTopology {
   std::vector<std::unique_ptr<ArAgent>> ar_agents_;
   std::vector<DuplexLink*> ar_links_;
   std::unique_ptr<WlanManager> wlan_;
-  HandoverOutcomeRecorder outcomes_;
   RoamBox box_;
   std::vector<Mobile> mobiles_;
   std::vector<std::unique_ptr<UdpSink>> sinks_;

@@ -57,7 +57,6 @@ CorridorTopology::CorridorTopology(const CorridorConfig& cfg)
   mh_cfg.use_fast_handover = cfg.use_fast_handover;
   mh_cfg.request_buffers = cfg.request_buffers;
   mh_cfg.rtx = cfg.rtx;
-  mh_cfg.outcomes = &outcomes_;
   mh_agent_ = std::make_unique<MhAgent>(*mh_, mh_cfg, mip_.get());
   wlan_->add_mh(*mh_,
                 std::make_unique<LinearMobility>(

@@ -65,7 +65,9 @@ class CorridorTopology {
   MobileIpClient& mip() { return *mip_; }
   Address mh_regional() const { return regional_; }
   /// Per-attempt inter-AR handover outcomes along the corridor.
-  HandoverOutcomeRecorder& outcomes() { return outcomes_; }
+  const HandoverOutcomeRecorder& outcomes() const {
+    return sim_.timeline().outcomes();
+  }
 
  private:
   CorridorConfig cfg_;
@@ -80,7 +82,6 @@ class CorridorTopology {
   std::vector<std::unique_ptr<ArAgent>> ar_agents_;
   std::unique_ptr<WlanManager> wlan_;
   std::unique_ptr<MobileIpClient> mip_;
-  HandoverOutcomeRecorder outcomes_;
   std::unique_ptr<MhAgent> mh_agent_;
   Address regional_;
 };

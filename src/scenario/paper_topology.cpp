@@ -70,7 +70,6 @@ PaperTopology::PaperTopology(const PaperTopologyConfig& cfg)
   mh_cfg.start_time_offset = cfg.start_time_offset;
   mh_cfg.watchdog = cfg.watchdog;
   mh_cfg.rtx = cfg.rtx;
-  mh_cfg.outcomes = &outcomes_;
 
   for (int i = 0; i < cfg.num_mhs; ++i) {
     Mobile m;

@@ -102,7 +102,9 @@ class PaperTopology {
   std::size_t num_mobiles() const { return mobiles_.size(); }
   const PaperTopologyConfig& config() const { return cfg_; }
   /// Per-attempt inter-AR handover outcomes across all mobiles.
-  HandoverOutcomeRecorder& outcomes() { return outcomes_; }
+  const HandoverOutcomeRecorder& outcomes() const {
+    return sim_.timeline().outcomes();
+  }
 
  private:
   PaperTopologyConfig cfg_;
@@ -120,7 +122,6 @@ class PaperTopology {
   DuplexLink* par_nar_link_ = nullptr;
   AccessPoint* ap_par_ = nullptr;
   AccessPoint* ap_nar_ = nullptr;
-  HandoverOutcomeRecorder outcomes_;
   std::vector<Mobile> mobiles_;
 };
 

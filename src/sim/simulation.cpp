@@ -5,7 +5,7 @@
 namespace fhmip {
 
 Simulation::Simulation(std::uint64_t seed) : rng_(seed) {
-  timeline_.set_registry(&metrics_);
+  timeline_.set_registry(metrics_);
 }
 
 void Simulation::drop(PacketPtr p, DropReason reason, const char* where) {

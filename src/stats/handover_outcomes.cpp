@@ -34,25 +34,17 @@ const char* to_string(HandoverCause c) {
   return "?";
 }
 
-void HandoverOutcomeRecorder::record(MhId mh, SimTime at,
-                                     HandoverOutcome outcome,
-                                     HandoverCause cause,
-                                     const PhaseBreakdown& phases) {
-  attempts_.push_back({mh, at, outcome, cause, phases});
-  ++by_outcome_[static_cast<int>(outcome)];
-  ++by_cause_[static_cast<int>(cause)];
+const HandoverAttempt& HandoverOutcomeRecorder::record(
+    const HandoverAttempt& a) {
+  ++by_outcome_[static_cast<int>(a.outcome)];
+  ++by_cause_[static_cast<int>(a.cause)];
+  return attempts_.emplace_back(a);
 }
 
 double HandoverOutcomeRecorder::success_rate() const {
   if (attempts_.empty()) return 1.0;
   return static_cast<double>(completed()) /
          static_cast<double>(attempts_.size());
-}
-
-void HandoverOutcomeRecorder::reset() {
-  attempts_.clear();
-  for (auto& c : by_outcome_) c = 0;
-  for (auto& c : by_cause_) c = 0;
 }
 
 std::string HandoverOutcomeRecorder::format_table(
@@ -77,30 +69,23 @@ std::string HandoverOutcomeRecorder::format_table(
   std::snprintf(line, sizeof(line), "  %-18s %7.2f%%\n", "success rate",
                 100.0 * success_rate());
   out += line;
-  // Mean per-phase latencies over the attempts that exhibited the phase
-  // (populated when a handover timeline fed the recorder).
+  // Mean per-phase latencies over the attempts that exhibited the phase.
   struct Span {
     const char* name;
     double sum_ms = 0;
     std::uint64_t n = 0;
+    void add(bool seen, SimTime span) {
+      if (!seen) return;
+      sum_ms += span.millis_f();
+      ++n;
+    }
   } spans[4] = {{"anticipation"}, {"fbu-fback"}, {"blackout"}, {"total"}};
   for (const auto& a : attempts_) {
-    if (a.phases.has_anticipation) {
-      spans[0].sum_ms += a.phases.anticipation.millis_f();
-      ++spans[0].n;
-    }
-    if (a.phases.has_fbu_fback) {
-      spans[1].sum_ms += a.phases.fbu_fback.millis_f();
-      ++spans[1].n;
-    }
-    if (a.phases.has_blackout) {
-      spans[2].sum_ms += a.phases.blackout.millis_f();
-      ++spans[2].n;
-    }
-    if (a.phases.has_total) {
-      spans[3].sum_ms += a.phases.total.millis_f();
-      ++spans[3].n;
-    }
+    const PhaseBreakdown& p = a.phases;
+    spans[0].add(p.has_anticipation, p.anticipation);
+    spans[1].add(p.has_fbu_fback, p.fbu_fback);
+    spans[2].add(p.has_blackout, p.blackout);
+    spans[3].add(true, p.total);
   }
   for (const auto& s : spans) {
     if (s.n == 0) continue;

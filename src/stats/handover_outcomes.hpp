@@ -8,6 +8,9 @@
 #include "sim/time.hpp"
 
 namespace fhmip {
+namespace obs {
+class HandoverTimeline;
+}  // namespace obs
 
 /// How an inter-AR handover attempt ended.
 enum class HandoverOutcome : std::uint8_t {
@@ -48,7 +51,8 @@ inline constexpr int kNumHandoverCauses = 6;
 /// Per-attempt latency decomposition, produced by the handover timeline
 /// (src/obs/timeline.hpp). A span is only meaningful when its `has_` flag is
 /// set: e.g. a reactive attempt has no anticipation span, a predictive one
-/// whose radio never dropped has no blackout.
+/// whose radio never dropped has no blackout. Every stored attempt was
+/// closed by `HandoverTimeline::resolve`, so `total` is always set.
 struct PhaseBreakdown {
   SimTime anticipation;  // L2 trigger -> PrRtAdv received
   SimTime fbu_fback;     // first FBU sent -> FBack received
@@ -57,27 +61,28 @@ struct PhaseBreakdown {
   bool has_anticipation = false;
   bool has_fbu_fback = false;
   bool has_blackout = false;
-  bool has_total = false;  // false when no timeline observed the attempt
 };
 
-/// One resolved handover attempt.
+/// One resolved inter-AR handover attempt with its event span and derived
+/// phase latencies.
 struct HandoverAttempt {
   MhId mh = kNoNode;
-  SimTime at;  // resolution time (attach for predictive, FBack/exhaustion
-               // for reactive/failed)
+  std::uint32_t ordinal = 0;  // 1-based per MH
+  SimTime started;
+  SimTime resolved;  // attach for predictive, FBack/exhaustion for
+                     // reactive/failed
   HandoverOutcome outcome = HandoverOutcome::kPredictive;
   HandoverCause cause = HandoverCause::kNone;
-  PhaseBreakdown phases;  // all-flags-false when no timeline was attached
+  PhaseBreakdown phases;
 };
 
-/// Collects per-attempt handover outcomes so scenarios and benches can
-/// report success rates under fault sweeps. One recorder is shared by all
-/// mobile hosts of a scenario; agents report through `record`.
+/// The store of resolved handover attempts with per-outcome and per-cause
+/// tallies, so scenarios and benches can report success rates under fault
+/// sweeps. Each Simulation's `HandoverTimeline` owns the one instance and is
+/// its only writer; everything else reads it through
+/// `HandoverTimeline::outcomes()` (or a topology's `outcomes()`).
 class HandoverOutcomeRecorder {
  public:
-  void record(MhId mh, SimTime at, HandoverOutcome outcome,
-              HandoverCause cause, const PhaseBreakdown& phases = {});
-
   std::uint64_t attempts() const { return attempts_.size(); }
   std::uint64_t count(HandoverOutcome o) const {
     return by_outcome_[static_cast<int>(o)];
@@ -93,14 +98,18 @@ class HandoverOutcomeRecorder {
   /// completed / attempts in [0, 1]; 1 when no attempts were made.
   double success_rate() const;
 
+  /// Every resolved attempt, in resolution order.
   const std::vector<HandoverAttempt>& history() const { return attempts_; }
-  void reset();
 
   /// Aligned text table with one row per outcome and per cause — the
   /// "outcome stats table" benches print alongside the paper figures.
   std::string format_table(const std::string& title) const;
 
  private:
+  friend class obs::HandoverTimeline;
+  HandoverOutcomeRecorder() = default;
+  const HandoverAttempt& record(const HandoverAttempt& a);
+
   std::vector<HandoverAttempt> attempts_;
   std::uint64_t by_outcome_[kNumHandoverOutcomes] = {};
   std::uint64_t by_cause_[kNumHandoverCauses] = {};

@@ -311,5 +311,58 @@ TEST_F(CrashFixture, ParCrashCancelsPendingHiTimer) {
   EXPECT_EQ(c.sent, c.delivered + c.dropped);
 }
 
+
+// ---------------------------------------------------------------------------
+// The printed outcome table, locked byte-exact on the control-loss sweep's
+// sample run (bench/fig_ext_control_loss_sweep: 30% loss, seed 3, rtx on).
+// ---------------------------------------------------------------------------
+
+TEST(OutcomeTable, ControlLossSampleRunPrintsByteExact) {
+  PaperTopologyConfig cfg;
+  cfg.seed = 3;
+  cfg.bounce = true;
+  cfg.scheme.pool_pkts = 60;
+  cfg.scheme.request_pkts = 60;
+  PaperTopology topo(cfg);
+  Simulation& sim = topo.simulation();
+  fault::LinkFaultInjector fwd(sim, topo.par_nar_link().a_to_b());
+  fault::LinkFaultInjector rev(sim, topo.par_nar_link().b_to_a());
+  fwd.bernoulli(0.3, 3 * 7919 + 1, fault::control_only());
+  rev.bernoulli(0.3, 3 * 104729 + 2, fault::control_only());
+
+  auto& m = topo.mobile(0);
+  UdpSink sink(*m.node, 7000);
+  CbrSource::Config c;
+  c.dst = m.regional;
+  c.dst_port = 7000;
+  c.packet_bytes = 160;
+  c.interval = 10_ms;
+  c.tclass = TrafficClass::kRealTime;
+  c.flow = 1;
+  CbrSource source(topo.cn(), 5000, c);
+  source.start(2_s);
+  source.stop(40_s);
+  topo.start();
+  sim.run_until(50_s);
+
+  EXPECT_EQ(topo.outcomes().format_table("per-attempt outcomes"),
+            "per-attempt outcomes\n"
+            "  attempts                  2\n"
+            "  predictive                2\n"
+            "  reactive                  0\n"
+            "  failed                    0\n"
+            "  cause/none                2\n"
+            "  cause/not-anticipated        0\n"
+            "  cause/no-prrtadv          0\n"
+            "  cause/target-changed        0\n"
+            "  cause/no-fback            0\n"
+            "  cause/watchdog            0\n"
+            "  success rate        100.00%\n"
+            "  phase/anticipation   26.20ms (n=2)\n"
+            "  phase/fbu-fback     208.23ms (n=2)\n"
+            "  phase/blackout      200.00ms (n=2)\n"
+            "  phase/total        1213.23ms (n=2)\n");
+}
+
 }  // namespace
 }  // namespace fhmip

@@ -116,7 +116,7 @@ TEST(CityScale, TwoHundredHostsUnderSeededLossConserveEverything) {
   ASSERT_GE(flows.size(), 30u);
   std::uint64_t boundary_checks = 0;
   std::uint64_t boundary_violations = 0;
-  sim.timeline().set_resolve_hook([&](const obs::HoAttempt&) {
+  sim.timeline().set_resolve_hook([&](const HandoverAttempt&) {
     ++boundary_checks;
     for (FlowId f : flows) {
       const FlowCounters& fc = sim.stats().flow(f);

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "obs/timeline.hpp"
 #include "stats/handover_outcomes.hpp"
 #include "stats/recorder.hpp"
 #include "stats/table.hpp"
@@ -137,15 +138,16 @@ TEST(TextTable, HandlesShortRows) {
 }
 
 TEST(HandoverOutcomes, CountsAndFormatsPerCause) {
-  HandoverOutcomeRecorder rec;
-  rec.record(1, SimTime::seconds(1), HandoverOutcome::kPredictive,
+  obs::HandoverTimeline tl;
+  tl.resolve(SimTime::seconds(1), 1, HandoverOutcome::kPredictive,
              HandoverCause::kNone);
-  rec.record(1, SimTime::seconds(2), HandoverOutcome::kReactive,
+  tl.resolve(SimTime::seconds(2), 1, HandoverOutcome::kReactive,
              HandoverCause::kNotAnticipated);
-  rec.record(2, SimTime::seconds(3), HandoverOutcome::kReactive,
+  tl.resolve(SimTime::seconds(3), 2, HandoverOutcome::kReactive,
              HandoverCause::kNoPrRtAdv);
-  rec.record(2, SimTime::seconds(4), HandoverOutcome::kFailed,
+  tl.resolve(SimTime::seconds(4), 2, HandoverOutcome::kFailed,
              HandoverCause::kNoFback);
+  const HandoverOutcomeRecorder& rec = tl.outcomes();
   EXPECT_EQ(rec.attempts(), 4u);
   EXPECT_EQ(rec.completed(), 3u);
   EXPECT_EQ(rec.count(HandoverOutcome::kReactive), 2u);
@@ -156,9 +158,6 @@ TEST(HandoverOutcomes, CountsAndFormatsPerCause) {
   EXPECT_NE(table.find("cause/not-anticipated"), std::string::npos);
   EXPECT_NE(table.find("cause/no-fback"), std::string::npos);
   EXPECT_NE(table.find("75.00%"), std::string::npos);
-  rec.reset();
-  EXPECT_EQ(rec.attempts(), 0u);
-  EXPECT_DOUBLE_EQ(rec.success_rate(), 1.0);
 }
 
 }  // namespace

@@ -67,7 +67,7 @@ TEST_P(LedgerConservation, HoldsAtBoundariesAndTeardown) {
   }
 
   int boundaries = 0;
-  sim.timeline().set_resolve_hook([&](const obs::HoAttempt&) {
+  sim.timeline().set_resolve_hook([&](const HandoverAttempt&) {
     ++boundaries;
     EXPECT_TRUE(ledger.balanced())
         << "at handover boundary " << boundaries << "\n" << ledger.format();

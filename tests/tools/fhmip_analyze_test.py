@@ -111,6 +111,14 @@ class TestSemanticRules(FixtureRoot):
         # bump_checked() delegates to the auditing check().
         self.assert_findings("AUD-01", p, [12], [16])
 
+    def test_aud01_sees_writes_through_local_references(self):
+        p = self.stage("aud01_alias.hpp")
+        # attach/bump/wipe write through a reference bound to hosts_[k],
+        # hosts_.at(k) and hosts_; peek reads through a const reference,
+        # attached only reads, and local_only writes through a reference to a
+        # local: those three stay silent.
+        self.assert_findings("AUD-01", p, [19, 24, 29], [])
+
     def test_exc01_fires_and_suppresses(self):
         p = self.stage("exc01.hpp")
         # Throwing dtor is active; noexcept throw is NOLINTed; caught

@@ -619,9 +619,6 @@ class OwnershipAnalysis:
         out.extend(range(i, hi))
         return out
 
-    def _in_skip(self, i):
-        return any(a <= i < b for a, b in self.skip_spans)
-
     def _exec_span(self, lo, hi, state):
         """Interprets one expression/declaration span: declarations,
         moves, escapes, assignments, resets."""

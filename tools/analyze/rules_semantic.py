@@ -43,13 +43,6 @@ _OUTPUT_CALLS = {
 _ASSIGN_OPS = {"=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^="}
 
 
-def _unit_class(ctx, unit, fn):
-    owner = getattr(fn, "owner", None)
-    if owner is None:
-        return None
-    return unit.classes.get(owner.name)
-
-
 def _in_src(path: str) -> bool:
     return path.split("/")[0] == "src"
 
@@ -64,14 +57,16 @@ def _mk(ctx, rule, sev, fn_or_path, line, msg):
 
 
 def _balanced_group(toks, open_idx, end):
-    """Token span (open_idx+1, close_idx) of the paren group opening at
-    open_idx, or None."""
+    """Token span (open_idx+1, close_idx) of the paren or bracket group
+    opening at open_idx, or None."""
+    opener = toks[open_idx].text
+    closer = ")" if opener == "(" else "]"
     depth = 0
     j = open_idx
     while j < end:
-        if toks[j].text == "(":
+        if toks[j].text == opener:
             depth += 1
-        elif toks[j].text == ")":
+        elif toks[j].text == closer:
             depth -= 1
             if depth == 0:
                 return (open_idx + 1, j)
@@ -451,40 +446,63 @@ def _has_audit(fn) -> bool:
                for t in fn.body_tokens())
 
 
+def _past_group(toks, open_idx, n) -> int:
+    """Index just past the group opening at open_idx (n if unbalanced)."""
+    grp = _balanced_group(toks, open_idx, n)
+    return n if grp is None else grp[1] + 1
+
+
+def _ref_aliases(toks, fields) -> dict[int, str]:
+    """Locals declared as non-const references bound into a field
+    (`Host& h = hosts_[mh];`, `auto& q = queue_;`), keyed by the token index
+    of their declarator: writes through them are writes to the field."""
+    aliases = {}
+    for i in range(1, len(toks) - 3):
+        declarator = toks[i - 1].kind == ID or toks[i - 1].text in (">", ">>")
+        if not declarator or toks[i].text != "&" or toks[i + 1].kind != ID \
+                or toks[i + 2].text != "=" or toks[i + 3].text not in fields:
+            continue  # not `T& name = field...`
+        j = i - 1
+        while j >= 0 and toks[j].text not in (";", "{", "}", "(", ")", ",",
+                                              "const"):
+            j -= 1
+        if j < 0 or toks[j].text != "const":  # const references cannot write
+            aliases[i + 1] = toks[i + 1].text
+    return aliases
+
+
+def _writes_through(toks, i, n) -> bool:
+    """True when the name at toks[i] heads a write: an assignment or ++/--
+    on it or on a member/element reached from it, or a mutator call on one
+    of them."""
+    if i > 0 and toks[i - 1].text in ("++", "--"):
+        return True
+    j = i + 1
+    while j + 1 < n:
+        if toks[j].text in (".", "->") and toks[j + 1].kind == ID:
+            if toks[j + 1].text in _MUTATOR_CALLS and j + 2 < n \
+                    and toks[j + 2].text == "(":
+                return True
+            j += 2
+        elif toks[j].text == "[":
+            j = _past_group(toks, j, n)
+        else:
+            break
+    return j < n and toks[j].text in _ASSIGN_OPS | {"++", "--"}
+
+
 def _mutates_fields(fn, fields) -> bool:
     toks = fn.body_tokens()
     n = len(toks)
+    decls = _ref_aliases(toks, fields)
+    names = set(fields) | set(decls.values())
     for i, t in enumerate(toks):
-        if t.kind != ID or t.text not in fields:
+        if t.kind != ID or t.text not in names or i in decls:
             continue
-        prev = toks[i - 1] if i > 0 else None
-        if prev is not None and prev.text in (".", "->", "::"):
+        if i > 0 and toks[i - 1].text in (".", "->", "::"):
             continue  # someone else's member
-        nxt = toks[i + 1] if i + 1 < n else None
-        if nxt is None:
-            continue
-        if nxt.text in _ASSIGN_OPS or nxt.text in ("++", "--"):
+        if _writes_through(toks, i, n):
             return True
-        if prev is not None and prev.text in ("++", "--"):
-            return True
-        if nxt.text in (".", "->") and i + 2 < n \
-                and toks[i + 2].text in _MUTATOR_CALLS \
-                and i + 3 < n and toks[i + 3].text == "(":
-            return True
-        if nxt.text == "[" :
-            # field[...] = ...
-            depth = 0
-            j = i + 1
-            while j < n:
-                if toks[j].text == "[":
-                    depth += 1
-                elif toks[j].text == "]":
-                    depth -= 1
-                    if depth == 0:
-                        break
-                j += 1
-            if j + 1 < n and toks[j + 1].text in _ASSIGN_OPS:
-                return True
     return False
 
 
