@@ -6,6 +6,8 @@
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "buffer/buffer_manager.hpp"
 #include "buffer/policy.hpp"
@@ -109,6 +111,44 @@ void BM_LinkTransmitDeliver(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_LinkTransmitDeliver);
+
+void BM_LinkChainForward(benchmark::State& state) {
+  // A burst of packets across a 4-hop chain of nodes and simplex links, so
+  // every hop runs the route lookup in Node::forward, the link's queueing
+  // and serialization, and the delivery into the next node. The last node
+  // owns the destination address and consumes the packet at a port.
+  constexpr int kHops = 4;
+  const int n = 64;
+  Simulation sim;
+  std::vector<std::unique_ptr<Node>> nodes;
+  for (int i = 0; i <= kHops; ++i) {
+    nodes.push_back(std::make_unique<Node>(sim, static_cast<NodeId>(i + 1),
+                                           "n" + std::to_string(i)));
+  }
+  std::vector<std::unique_ptr<SimplexLink>> links;
+  for (int i = 0; i < kHops; ++i) {
+    links.push_back(std::make_unique<SimplexLink>(
+        sim, *nodes[i + 1], 10e6, SimTime::micros(10), 256,
+        "l" + std::to_string(i)));
+    nodes[i]->routes().set_prefix_route(9, Route::via(*links.back()));
+  }
+  Node& sink = *nodes.back();
+  sink.add_address({9, 1});
+  std::uint64_t consumed = 0;
+  sink.register_port(7, [&consumed](PacketPtr) { ++consumed; });
+  for (auto _ : state) {
+    for (int i = 0; i < n; ++i) {
+      auto p = make_packet(sim, {1, 1}, {9, 1}, 160);
+      p->dst_port = 7;
+      nodes.front()->send(std::move(p));
+    }
+    sim.run();
+  }
+  sink.unregister_port(7);
+  benchmark::DoNotOptimize(consumed);
+  state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_LinkChainForward);
 
 void BM_PacketForward(benchmark::State& state) {
   // The per-packet forward cycle at a MAP/AR at city scale: allocate a

@@ -108,10 +108,6 @@ class ArAgent : public ArAttachListener {
   double estimated_pps(MhId mh) const;
   const Counters& counters() const { return counters_; }
   const BufferSchemeConfig& config() const { return cfg_; }
-  bool mh_attached(MhId mh) const {
-    const Host* h = find_host(mh);
-    return h != nullptr && h->downlink != nullptr;
-  }
   bool has_par_context(MhId mh) const {
     const Host* h = find_host(mh);
     return h != nullptr && h->par;

@@ -85,9 +85,12 @@ void SimplexLink::transmit(PacketPtr p) {
     drop(std::move(p), DropReason::kRandomLoss);
     return;
   }
-  if (busy_) {
+  // A drain is armed exactly while the queue is non-empty; a packet handed
+  // over then queues behind it, even at the instant the transmitter frees.
+  if (sim_.now() < busy_until_ || drain_ != kInvalidEvent) {
     if (queue_push(p)) {
       if (m_queue_ != nullptr) m_queue_->add(1);
+      arm_drain();
     } else {
       drop(std::move(p), DropReason::kQueueOverflow);
     }
@@ -97,38 +100,39 @@ void SimplexLink::transmit(PacketPtr p) {
 }
 
 void SimplexLink::start_tx(PacketPtr p) {
-  busy_ = true;
   if (sim_.trace().enabled()) {
     sim_.trace().emit(
         trace_event(sim_.now(), TraceKind::kTransmit, name_.c_str(), *p));
   }
-  const SimTime tx = tx_time(p->size_bytes);
-  // The link holds the packet while it occupies the transmitter; the
-  // completion event captures only `this` (no per-packet heap holder), so
-  // scheduling a hop allocates nothing. Packets still in the link when the
-  // simulation ends are reclaimed by ~SimplexLink.
-  serializing_ = std::move(p);
+  busy_until_ = sim_.now() + tx_time(p->size_bytes);
+  // The packet is committed to the air/wire from its first bit: it is
+  // delivered even if the link goes down before serialization ends (ns-2
+  // semantics: link-down affects packets that have not started
+  // transmission, not ones already in flight). It joins the in-flight FIFO
+  // at once, and its one event is the delivery. Packets still in the link
+  // when the simulation ends are reclaimed by ~SimplexLink.
+  fly_append(std::move(p));
   // A bare `this` capture fits std::function's inline storage (no
   // allocation), and links outlive the event loop: topologies hold their
   // links for the whole Simulation::run(), and unfired events are
   // destroyed, never invoked. NOLINT-FHMIP(PERF-01,LIFE-01)
-  sim_.in(tx, [this] { finish_tx(); });  // NOLINT-FHMIP(PERF-01,LIFE-01)
+  sim_.at(busy_until_ + delay_, [this] { deliver_front(); });  // NOLINT-FHMIP(PERF-01,LIFE-01)
 }
 
-void SimplexLink::finish_tx() {
-  // Serialization finished: the packet is committed to the air/wire and
-  // will be delivered even if the link is torn down meanwhile (ns-2
-  // semantics: link-down affects packets that have not started
-  // transmission, not ones already in flight). It moves to the in-flight
-  // FIFO; the matching deliver_front() fires `delay_` later.
-  fly_append(std::move(serializing_));
-  // Same lifetime/SBO argument as start_tx's completion event.
-  sim_.in(delay_, [this] { deliver_front(); });  // NOLINT-FHMIP(PERF-01,LIFE-01)
-  busy_ = false;
-  if (PacketPtr next = queue_pop()) {
-    if (m_queue_ != nullptr) m_queue_->add(-1);
-    start_tx(std::move(next));
-  }
+void SimplexLink::arm_drain() {
+  if (drain_ != kInvalidEvent) return;
+  // Same SBO/lifetime argument as start_tx; ~SimplexLink cancels it.
+  drain_ = sim_.at(busy_until_, [this] { drain(); });  // NOLINT-FHMIP(PERF-01,LIFE-01)
+}
+
+void SimplexLink::drain() {
+  drain_ = kInvalidEvent;
+  PacketPtr next = queue_pop();
+  FHMIP_AUDIT_MSG("net", next != nullptr,
+                  "link " + name_ + ": drain event with empty queue");
+  if (m_queue_ != nullptr) m_queue_->add(-1);
+  start_tx(std::move(next));
+  if (queue_size() > 0) arm_drain();
 }
 
 void SimplexLink::deliver_front() {
@@ -149,8 +153,9 @@ void SimplexLink::deliver_front() {
 }
 
 SimplexLink::~SimplexLink() {
+  sim_.cancel(drain_);
   // Packets still serializing or propagating when the topology is torn
-  // down (simulation ended mid-flight). `serializing_` frees itself.
+  // down (simulation ended mid-flight).
   while (fly_head_ != nullptr) fly_detach_head();
 }
 
@@ -163,8 +168,10 @@ void SimplexLink::drop(PacketPtr p, DropReason reason) {
 void SimplexLink::set_up(bool up) {
   up_ = up;
   if (!up_) {
-    // Everything sitting in the transmit queue dies with the link.
+    // Everything queued dies with the link, and so does its drain.
     drop_queued();
+    sim_.cancel(drain_);
+    drain_ = kInvalidEvent;
   }
 }
 

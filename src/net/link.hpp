@@ -21,6 +21,10 @@ enum class QueueDiscipline { kDropTail, kClassPriority };
 /// a drop-tail queue — the ns-2 link model. A packet occupies the
 /// transmitter for size*8/bandwidth seconds, then arrives delay later.
 ///
+/// The transmitter is lazy: it keeps the time serialization ends instead of
+/// scheduling an event for it. A hop costs one event, its delivery; while
+/// packets queue, one `drain` event starts each when the transmitter frees.
+///
 /// Wireless behaviour: when `set_up(false)` (MH out of range / L2 handoff
 /// blackout), packets attempted or in flight are dropped with
 /// DropReason::kWirelessDown — the single-radio disconnection of §2.4.
@@ -39,14 +43,12 @@ class SimplexLink {
 
   /// Random per-packet loss (wireless corruption model); 0 disables.
   void set_loss_rate(double p) { loss_rate_ = p; }
-  double loss_rate() const { return loss_rate_; }
 
   /// Scripted fault hook (src/fault): inspects every packet handed to the
   /// link before queueing; returning true kills it as kFaultInjected. An
   /// empty function clears the hook.
   using TxFilter = std::function<bool(const Packet&)>;
   void set_tx_filter(TxFilter f) { tx_filter_ = std::move(f); }
-  bool has_tx_filter() const { return static_cast<bool>(tx_filter_); }
 
   double bandwidth_bps() const { return bandwidth_; }
   SimTime delay() const { return delay_; }
@@ -63,7 +65,6 @@ class SimplexLink {
   std::uint64_t packets_delivered() const { return delivered_; }
   std::uint64_t packets_dropped() const { return dropped_; }
   std::uint64_t bytes_delivered() const { return bytes_delivered_; }
-  bool busy() const { return busy_; }
 
   ~SimplexLink();
 
@@ -72,7 +73,8 @@ class SimplexLink {
   PacketPtr queue_pop();
   void drop_queued();
   void start_tx(PacketPtr p);
-  void finish_tx();
+  void arm_drain();
+  void drain();
   void deliver_front();
 
   /// Appends an owned packet to the in-flight (propagation) FIFO.
@@ -110,18 +112,17 @@ class SimplexLink {
   obs::Counter* m_dropped_ = nullptr;    // link/<name>/dropped_pkts
   obs::Counter* m_bytes_ = nullptr;      // link/<name>/bytes
   obs::Gauge* m_queue_ = nullptr;        // link/<name>/queue_pkts
-  // Packet occupying the transmitter (set while busy_), and the intrusive
-  // FIFO of packets that finished serializing and are propagating toward
-  // `to_`. Chained through Packet::pool_next: the completion events are
-  // plain `[this]` lambdas (no per-packet heap holder), and the link — not
-  // the scheduler — owns packets in flight. Propagation delay is constant
-  // per link and serialize-end times are monotonic, so deliveries fire in
-  // FIFO order and deliver_front() always matches its event.
-  PacketPtr serializing_;
+  // The intrusive FIFO of packets that started serializing and are on
+  // their way to `to_`. Chained through Packet::pool_next: the delivery
+  // events are plain `[this]` lambdas (no per-packet heap holder), and the
+  // link — not the scheduler — owns packets in flight. Propagation delay is
+  // constant per link and serialize-end times are monotonic, so deliveries
+  // fire in FIFO order and deliver_front() always matches its event.
   Packet* fly_head_ = nullptr;
   Packet* fly_tail_ = nullptr;
+  SimTime busy_until_;                // when the transmitter frees up
+  EventId drain_ = kInvalidEvent;     // armed while the queue is non-empty
   bool up_ = true;
-  bool busy_ = false;
   double loss_rate_ = 0.0;
   TxFilter tx_filter_;
   std::uint64_t delivered_ = 0;

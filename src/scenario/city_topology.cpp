@@ -116,12 +116,13 @@ CityTopology::CityTopology(const CityConfig& cfg)
 
   // The roam box: the AP field plus one coverage radius of margin, so walks
   // can leave coverage at the fringe (hard-detach path) but always return.
-  box_.lo = Vec2{-cfg.ap_radius_m, -cfg.ap_radius_m};
-  box_.hi = Vec2{ar_pos.back().x + cfg.ap_radius_m,
-                 ar_pos.back().y + cfg.ap_radius_m};
+  RoamBox box;
+  box.lo = Vec2{-cfg.ap_radius_m, -cfg.ap_radius_m};
+  box.hi = Vec2{ar_pos.back().x + cfg.ap_radius_m,
+                ar_pos.back().y + cfg.ap_radius_m};
   for (const Vec2& p : ar_pos) {
-    box_.hi.x = std::max(box_.hi.x, p.x + cfg.ap_radius_m);
-    box_.hi.y = std::max(box_.hi.y, p.y + cfg.ap_radius_m);
+    box.hi.x = std::max(box.hi.x, p.x + cfg.ap_radius_m);
+    box.hi.y = std::max(box.hi.y, p.y + cfg.ap_radius_m);
   }
 
   MhAgent::Config mh_cfg;
@@ -139,7 +140,7 @@ CityTopology::CityTopology(const CityConfig& cfg)
   for (int i = 0; i < cfg.population.num_mhs; ++i) {
     Mobile m;
     m.node = mh_nodes[i];
-    m.draw = draw_member(pop_rng, cfg.population, box_);
+    m.draw = draw_member(pop_rng, cfg.population, box);
 
     // Anchor at the MAP whose band owns the nearest AR to the spawn point.
     std::size_t nearest = 0;
@@ -159,7 +160,7 @@ CityTopology::CityTopology(const CityConfig& cfg)
                                              maps_[band]->address());
     m.agent = std::make_unique<MhAgent>(*m.node, mh_cfg, m.mip.get());
     wlan_->add_mh(*m.node,
-                  make_random_waypoint_walk(pop_rng, cfg.population, box_,
+                  make_random_waypoint_walk(pop_rng, cfg.population, box,
                                             m.draw.spawn, m.draw.speed_mps),
                   m.agent.get());
 

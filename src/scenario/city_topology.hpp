@@ -106,9 +106,6 @@ class CityTopology {
     return sim_.timeline().outcomes();
   }
   const CityConfig& config() const { return cfg_; }
-  /// The city footprint the population roams (AP field plus one radius of
-  /// margin).
-  RoamBox roam_box() const { return box_; }
   /// Direct inter-AR links (handover tunnel paths) for fault harnesses.
   const std::vector<DuplexLink*>& ar_ar_links() const { return ar_links_; }
   /// Buffer slots still leased across every AR (0 after quiesce = no leaks).
@@ -130,7 +127,6 @@ class CityTopology {
   std::vector<std::unique_ptr<ArAgent>> ar_agents_;
   std::vector<DuplexLink*> ar_links_;
   std::unique_ptr<WlanManager> wlan_;
-  RoamBox box_;
   std::vector<Mobile> mobiles_;
   std::vector<std::unique_ptr<UdpSink>> sinks_;
   std::vector<std::unique_ptr<CbrSource>> sources_;

@@ -55,7 +55,6 @@ class TcpSender {
   std::uint32_t ssthresh_bytes() const { return ssthresh_; }
   int timeouts() const { return timeouts_; }
   int fast_retransmits() const { return fast_retransmits_; }
-  bool in_fast_recovery() const { return in_recovery_; }
   SimTime current_rto() const;
 
  private:

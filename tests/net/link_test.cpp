@@ -51,12 +51,12 @@ TEST_F(LinkFixture, DeliveryAfterTxPlusPropagation) {
 }
 
 TEST_F(LinkFixture, InFlightPacketsReclaimedIfSimulationEnds) {
-  // Regression: start_tx/finish_tx used to hand a released raw pointer to
-  // the completion event; tearing the simulation down with packets still
-  // in flight leaked them (caught by LeakSanitizer). The packets must be
-  // owned by the event closures so destruction reclaims them.
+  // Regression: the link used to hand a released raw pointer to its
+  // completion event; tearing the simulation down with packets still in
+  // flight leaked them (caught by LeakSanitizer). The link owns packets in
+  // flight and in its queue, so destruction reclaims them.
   SimplexLink link(sim, b, 1e6, 10_ms, 10);
-  link.transmit(pkt(1000));  // serialization event pending
+  link.transmit(pkt(1000));  // delivery event pending
   link.transmit(pkt(1000));  // sits in the queue
   sim.run_until(9_ms);       // past serialization, before propagation ends
   // Destructor of `sim` (fixture teardown) discards the pending events.
@@ -116,6 +116,85 @@ TEST_F(LinkFixture, DownLinkDropsQueuedButNotInFlight) {
   sim.run();
   EXPECT_EQ(arrivals.size(), 1u);
   EXPECT_EQ(sim.stats().total_drops(DropReason::kWirelessDown), 1u);
+}
+
+TEST_F(LinkFixture, PacketAtTheInstantTheTransmitterFreesGoesBehindTheQueue) {
+  capture(b);
+  std::vector<std::uint32_t> seqs;
+  b.register_port(8, [&](PacketPtr p) { seqs.push_back(p->seq); });
+  SimplexLink link(sim, b, 1e6, 0_ms, 10);
+  auto numbered = [&](std::uint32_t seq) {
+    auto p = pkt(1000);
+    p->dst_port = 8;
+    p->seq = seq;
+    return p;
+  };
+  link.transmit(numbered(0));  // serializes over [0, 8) ms
+  // Scheduled before packet 1 queues (and so before the drain it arms):
+  // runs at 8 ms while packet 1 still waits, and must queue behind it.
+  sim.at(8_ms, [&] { link.transmit(numbered(2)); });
+  link.transmit(numbered(1));
+  sim.run();
+  EXPECT_EQ(seqs, (std::vector<std::uint32_t>{0, 1, 2}));
+  EXPECT_EQ(sim.now(), 24_ms);
+}
+
+TEST_F(LinkFixture, DownDuringSerializationThenBackUpWaitsForTheTransmitter) {
+  capture(b);
+  SimplexLink link(sim, b, 1e6, 5_ms, 10);
+  link.transmit(pkt(1000));  // serializes over [0, 8) ms, arrives at 13 ms
+  link.transmit(pkt(1000));  // queued
+  link.transmit(pkt(1000));  // queued
+  sim.at(2_ms, [&] { link.set_up(false); });
+  // Back up before the first packet's last bit: the transmitter is still
+  // busy, so the new packet starts at 8 ms, not at 4 ms.
+  sim.at(4_ms, [&] {
+    link.set_up(true);
+    link.transmit(pkt(1000));
+  });
+  sim.run();
+  ASSERT_EQ(arrivals.size(), 2u);
+  EXPECT_EQ(arrivals[0], 13_ms);
+  EXPECT_EQ(arrivals[1], 21_ms);
+  EXPECT_EQ(sim.stats().total_drops(DropReason::kWirelessDown), 2u);
+  EXPECT_EQ(link.packets_dropped(), 2u);
+}
+
+TEST_F(LinkFixture, DestroyingALinkCancelsItsArmedDrain) {
+  {
+    SimplexLink link(sim, b, 1e6, 5_ms, 10);
+    link.transmit(pkt(1000));  // delivery event
+    link.transmit(pkt(1000));  // queued: arms the drain
+    EXPECT_EQ(sim.scheduler().queue_size(), 2u);
+  }
+  // Only the delivery is left; it is destroyed with `sim`, never run.
+  EXPECT_EQ(sim.scheduler().queue_size(), 1u);
+}
+
+TEST_F(LinkFixture, OneSchedulerEventPerHopWhenIdle) {
+  // A packet that finds the transmitter idle costs exactly one event, its
+  // delivery; serialization end is a stored time, not an event.
+  capture(b);
+  SimplexLink link(sim, b, 1e6, 2_ms, 10);
+  constexpr int kPackets = 20;
+  for (int i = 0; i < kPackets; ++i) {
+    link.transmit(pkt(1000));
+    sim.run_until(SimTime::millis(20 * (i + 1)));  // 8 ms tx + 2 ms delay
+  }
+  EXPECT_EQ(arrivals.size(), static_cast<std::size_t>(kPackets));
+  EXPECT_EQ(sim.scheduler().events_executed(),
+            static_cast<std::uint64_t>(kPackets));
+}
+
+TEST_F(LinkFixture, BackToBackPacketsCostADeliveryEachPlusOneDrainPerQueued) {
+  capture(b);
+  SimplexLink link(sim, b, 1e6, 2_ms, 32);
+  constexpr int kPackets = 20;
+  for (int i = 0; i < kPackets; ++i) link.transmit(pkt(1000));
+  sim.run();
+  EXPECT_EQ(arrivals.size(), static_cast<std::size_t>(kPackets));
+  EXPECT_EQ(sim.scheduler().events_executed(),
+            static_cast<std::uint64_t>(2 * kPackets - 1));
 }
 
 TEST_F(LinkFixture, LinkBackUpResumesDelivery) {

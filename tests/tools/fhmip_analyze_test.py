@@ -119,6 +119,15 @@ class TestSemanticRules(FixtureRoot):
         # local: those three stay silent.
         self.assert_findings("AUD-01", p, [19, 24, 29], [])
 
+    def test_aud01_sees_writes_through_iterators(self):
+        p = self.stage("aud01_iter.hpp")
+        # detach/bump_first/clear_from write through iterators from
+        # find/begin/lower_bound (clear_from via a reference to the
+        # iterator's element); total only reads and advances its iterator,
+        # linked only reads, and first_count holds a const_iterator: those
+        # three stay silent.
+        self.assert_findings("AUD-01", p, [19, 25, 30], [])
+
     def test_exc01_fires_and_suppresses(self):
         p = self.stage("exc01.hpp")
         # Throwing dtor is active; noexcept throw is NOLINTed; caught

@@ -452,10 +452,35 @@ def _past_group(toks, open_idx, n) -> int:
     return n if grp is None else grp[1] + 1
 
 
+_ITER_LOOKUPS = {"find", "begin", "lower_bound", "upper_bound"}
+
+
+def _iter_aliases(toks, fields) -> dict[int, str]:
+    """Locals declared as iterators into a field (`auto it = hosts_.find(k);`,
+    `Map::iterator it = m_.begin();`), keyed by the token index of their
+    declarator: writes through `it->...` are writes to the field. A
+    `const_iterator` cannot write; a `const` iterator object still can."""
+    aliases = {}
+    for i in range(1, len(toks) - 5):
+        prev = toks[i - 1]
+        declarator = (prev.kind == ID and prev.text != "const_iterator") \
+            or prev.text in (">", ">>")
+        if not declarator or toks[i].kind != ID or toks[i + 1].text != "=" \
+                or toks[i + 2].text not in fields \
+                or toks[i + 3].text != "." \
+                or toks[i + 4].text not in _ITER_LOOKUPS \
+                or toks[i + 5].text != "(":
+            continue  # not `T it = field.find(...)`
+        aliases[i] = toks[i].text
+    return aliases
+
+
 def _ref_aliases(toks, fields) -> dict[int, str]:
     """Locals declared as non-const references bound into a field
     (`Host& h = hosts_[mh];`, `auto& q = queue_;`), keyed by the token index
-    of their declarator: writes through them are writes to the field."""
+    of their declarator: writes through them are writes to the field.
+    `fields` may also hold iterator aliases, so `Host& h = it->second;`
+    binds into the field `it` points into."""
     aliases = {}
     for i in range(1, len(toks) - 3):
         declarator = toks[i - 1].kind == ID or toks[i - 1].text in (">", ">>")
@@ -494,13 +519,18 @@ def _writes_through(toks, i, n) -> bool:
 def _mutates_fields(fn, fields) -> bool:
     toks = fn.body_tokens()
     n = len(toks)
-    decls = _ref_aliases(toks, fields)
+    iters = _iter_aliases(toks, fields)
+    iter_names = set(iters.values())
+    decls = _ref_aliases(toks, set(fields) | iter_names)
+    decls.update(iters)
     names = set(fields) | set(decls.values())
     for i, t in enumerate(toks):
         if t.kind != ID or t.text not in names or i in decls:
             continue
         if i > 0 and toks[i - 1].text in (".", "->", "::"):
             continue  # someone else's member
+        if t.text in iter_names and (i + 1 >= n or toks[i + 1].text != "->"):
+            continue  # `++it`, `it = ...` move the iterator, not the field
         if _writes_through(toks, i, n):
             return True
     return False
