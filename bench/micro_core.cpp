@@ -112,6 +112,29 @@ void BM_LinkTransmitDeliver(benchmark::State& state) {
 }
 BENCHMARK(BM_LinkTransmitDeliver);
 
+void BM_LinkIdleHop(benchmark::State& state) {
+  // One packet across an idle link per iteration, consumed at a port on
+  // the far node: no queueing, one delivery event. Nearly every hop of a
+  // city run takes this path; the 64-packet burst above queues 63 of its
+  // packets.
+  Simulation sim;
+  Node dst(sim, 2, "dst");
+  dst.add_address({2, 2});
+  std::uint64_t consumed = 0;
+  dst.register_port(7, [&consumed](PacketPtr) { ++consumed; });
+  SimplexLink link(sim, dst, 10e6, SimTime::micros(10), 256, "l");
+  for (auto _ : state) {
+    auto p = make_packet(sim, {1, 1}, {2, 2}, 160);
+    p->dst_port = 7;
+    link.transmit(std::move(p));
+    sim.run();
+  }
+  dst.unregister_port(7);
+  benchmark::DoNotOptimize(consumed);
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_LinkIdleHop);
+
 void BM_LinkChainForward(benchmark::State& state) {
   // A burst of packets across a 4-hop chain of nodes and simplex links, so
   // every hop runs the route lookup in Node::forward, the link's queueing

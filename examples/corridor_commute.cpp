@@ -8,7 +8,7 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "scenario/corridor_topology.hpp"
+#include "scenario/paper_topology.hpp"
 #include "stats/recorder.hpp"
 #include "stats/table.hpp"
 #include "transport/cbr.hpp"
@@ -18,22 +18,23 @@ using namespace fhmip;
 using namespace fhmip::timeliterals;
 
 int main(int argc, char** argv) {
-  CorridorConfig cfg;
+  PaperTopologyConfig cfg;
   cfg.num_ars = argc > 1 ? std::atoi(argv[1]) : 5;
-  CorridorTopology topo(cfg);
+  PaperTopology topo(cfg);
   Simulation& sim = topo.simulation();
   sim.stats().set_keep_samples(true);
 
-  UdpSink sink(topo.mh(), 7000);
+  MobileHost& mh = topo.mobile(0);
+  UdpSink sink(*mh.node, 7000);
   CbrSource::Config c;
-  c.dst = topo.mh_regional();
+  c.dst = mh.regional;
   c.dst_port = 7000;
   c.packet_bytes = 160;
   c.interval = 10_ms;
   c.tclass = TrafficClass::kRealTime;
   c.flow = 1;
   CbrSource src(topo.cn(), 5000, c);
-  const SimTime end = cfg.mobility_start + topo.walk_duration() + 5_s;
+  const SimTime end = cfg.mobility_start + topo.leg_duration() + 5_s;
   src.start(2_s);
   src.stop(end - 2_s);
 
@@ -41,8 +42,8 @@ int main(int argc, char** argv) {
   sim.run_until(end);
 
   std::printf("corridor of %d cells (%.0f m), walked at %.0f m/s in %.0f s\n\n",
-              cfg.num_ars, cfg.ap_spacing_m * (cfg.num_ars - 1),
-              cfg.speed_mps, topo.walk_duration().sec());
+              cfg.num_ars, cfg.ar_distance_m * (cfg.num_ars - 1),
+              cfg.speed_mps, topo.leg_duration().sec());
 
   TextTable t({"router", "HI sent (PAR)", "HI recv (NAR)", "buffered",
                "drained", "delivered"});
@@ -63,7 +64,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(fc.sent),
               static_cast<unsigned long long>(fc.delivered),
               static_cast<unsigned long long>(fc.dropped),
-              topo.mh_agent().counters().handoffs);
+              mh.agent->counters().handoffs);
   std::printf("delay: mean %.1f ms, p99 %.1f ms, max %.1f ms, jitter %.2f ms\n",
               d.mean * 1000, d.p99 * 1000, d.max * 1000, d.jitter * 1000);
   return fc.dropped == 0 ? 0 : 1;

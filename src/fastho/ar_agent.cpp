@@ -119,7 +119,7 @@ bool ArAgent::handle_control(PacketPtr& p) {
 void ArAgent::on_rtsolpr(const RtSolPrMsg& m, Address src) {
   ++counters_.rtsolpr;
   Simulation& sim = node_.sim();
-  Node* target_ar = ap_resolver_ ? ap_resolver_(m.target_ap) : nullptr;
+  Node* target_ar = ar_of_ap(m.target_ap);
   // The PCoA is the address the host actually uses on this subnet — taken
   // from the solicitation's source (it may be a collision substitute).
   const Address pcoa =

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <set>
@@ -74,13 +73,6 @@ class ArAgent : public ArAttachListener {
 
   ArAgent(const ArAgent&) = delete;
   ArAgent& operator=(const ArAgent&) = delete;
-
-  /// Resolves an access-point id to the access router node that owns it
-  /// (provided by the scenario from the WlanManager). Needed to answer
-  /// RtSolPr: the MH names a link-layer target, the PAR maps it to the NAR.
-  void set_ap_resolver(std::function<Node*(NodeId ap)> fn) {
-    ap_resolver_ = std::move(fn);
-  }
 
   // ArAttachListener (wired to the WLAN layer).
   void on_mh_attached(MhId mh, NodeId ap, SimplexLink& downlink) override;
@@ -259,7 +251,6 @@ class ArAgent : public ArAttachListener {
   obs::Counter* m_buffered_ = nullptr;
   obs::Counter* m_drained_ = nullptr;
   obs::Counter* m_crashes_ = nullptr;
-  std::function<Node*(NodeId)> ap_resolver_;
   HostTable hosts_;
   HandoverAuthenticator auth_;
   std::set<std::uint32_t> reserved_hosts_;

@@ -173,6 +173,8 @@ void SimplexLink::set_up(bool up) {
     sim_.cancel(drain_);
     drain_ = kInvalidEvent;
   }
+  FHMIP_AUDIT_MSG("net", up_ || queue_size() == 0,
+                  "link " + name_ + ": queue survived link-down");
 }
 
 DuplexLink::DuplexLink(Simulation& sim, Node& a, Node& b, double bandwidth_bps,

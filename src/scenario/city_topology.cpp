@@ -4,13 +4,11 @@
 #include <limits>
 #include <string>
 
-#include "scenario/paper_topology.hpp"  // nets::
-
 namespace fhmip {
 namespace {
 
 // Address-net bases for the generated field; far above the hand-numbered
-// paper nets (10..50 + corridor ARs at 40+10i) so the spaces never collide.
+// paper nets (10..30 + ARs at 40+10i) so the spaces never collide.
 constexpr std::uint32_t kMapNetBase = 600;
 constexpr std::uint32_t kArNetBase = 1000;
 
@@ -108,11 +106,6 @@ CityTopology::CityTopology(const CityConfig& cfg)
     wlan_->add_ap(*ars_[i], ar_pos[i], cfg.ap_radius_m,
                   ar_agents_[i].get());
   }
-  auto resolver = [this](NodeId ap) -> Node* {
-    AccessPoint* a = wlan_->ap(ap);
-    return a == nullptr ? nullptr : &a->ar_node();
-  };
-  for (auto& agent : ar_agents_) agent->set_ap_resolver(resolver);
 
   // The roam box: the AP field plus one coverage radius of margin, so walks
   // can leave coverage at the fringe (hard-detach path) but always return.
@@ -138,33 +131,24 @@ CityTopology::CityTopology(const CityConfig& cfg)
                                    : cfg.population.traffic_stop;
   const SimTime interval = population_packet_interval(cfg.population);
   for (int i = 0; i < cfg.population.num_mhs; ++i) {
-    Mobile m;
-    m.node = mh_nodes[i];
-    m.draw = draw_member(pop_rng, cfg.population, box);
+    const PopulationDraw draw = draw_member(pop_rng, cfg.population, box);
 
     // Anchor at the MAP whose band owns the nearest AR to the spawn point.
     std::size_t nearest = 0;
     double best = std::numeric_limits<double>::max();
     for (std::size_t a = 0; a < ar_pos.size(); ++a) {
-      const double d = distance(ar_pos[a], m.draw.spawn);
+      const double d = distance(ar_pos[a], draw.spawn);
       if (d < best) {
         best = d;
         nearest = a;
       }
     }
-    const std::size_t band = map_of_ar(nearest);
-    m.regional = Address{kMapNetBase + static_cast<std::uint32_t>(band),
-                         m.node->id()};
-    m.node->add_address(m.regional, /*advertised=*/false);
-    m.mip = std::make_unique<MobileIpClient>(*m.node, m.regional,
-                                             maps_[band]->address());
-    m.agent = std::make_unique<MhAgent>(*m.node, mh_cfg, m.mip.get());
-    wlan_->add_mh(*m.node,
-                  make_random_waypoint_walk(pop_rng, cfg.population, box,
-                                            m.draw.spawn, m.draw.speed_mps),
-                  m.agent.get());
+    MobileHost m = add_mobile_host(
+        *wlan_, *mh_nodes[i], *maps_[map_of_ar(nearest)], mh_cfg,
+        make_random_waypoint_walk(pop_rng, cfg.population, box, draw.spawn,
+                                  draw.speed_mps));
 
-    if (m.draw.active) {
+    if (draw.active) {
       m.flow = static_cast<FlowId>(1 + i);
       sinks_.push_back(std::make_unique<UdpSink>(*m.node, 7000));
       CbrSource::Config c;
@@ -172,7 +156,7 @@ CityTopology::CityTopology(const CityConfig& cfg)
       c.dst_port = 7000;
       c.packet_bytes = cfg.population.packet_bytes;
       c.interval = interval;
-      c.tclass = m.draw.tclass;
+      c.tclass = draw.tclass;
       c.flow = m.flow;
       sources_.push_back(std::make_unique<CbrSource>(*cn_, 5000, c));
       // Stagger start phases across one packet interval: every source

@@ -3,14 +3,8 @@
 #include <memory>
 #include <vector>
 
-#include "fastho/ar_agent.hpp"
-#include "fastho/mh_agent.hpp"
-#include "mip/map_agent.hpp"
-#include "net/network.hpp"
+#include "scenario/paper_topology.hpp"
 #include "scenario/population.hpp"
-#include "transport/cbr.hpp"
-#include "transport/sink.hpp"
-#include "wireless/wlan.hpp"
 
 namespace fhmip {
 
@@ -75,14 +69,8 @@ class CityTopology {
  public:
   explicit CityTopology(const CityConfig& cfg);
 
-  struct Mobile {
-    Node* node = nullptr;
-    Address regional;  // anchored at the MAP of the spawn area
-    std::unique_ptr<MobileIpClient> mip;
-    std::unique_ptr<MhAgent> agent;
-    PopulationDraw draw;
-    FlowId flow = 0;  // 0 when the host carries no traffic
-  };
+  /// A host anchored at the MAP of its spawn area.
+  using Mobile = MobileHost;
 
   /// Starts the WLAN layer; traffic sources are armed at construction and
   /// fire on their own schedule.

@@ -43,15 +43,21 @@ std::vector<FlowAttachment> attach_flows(PaperTopology& topo,
   return out;
 }
 
-FlowOutcome outcome_for(const Simulation& sim, FlowId id, bool samples) {
-  FlowOutcome o;
-  o.id = id;
-  const FlowCounters& c = sim.stats().flow(id);
-  o.sent = c.sent;
-  o.delivered = c.delivered;
-  o.dropped = c.dropped;
-  if (samples) o.samples = sim.stats().samples(id);
-  return o;
+std::vector<FlowOutcome> outcomes_for(const Simulation& sim,
+                                      const std::vector<FlowSpec>& flows,
+                                      bool samples) {
+  std::vector<FlowOutcome> out;
+  for (const FlowSpec& f : flows) {
+    FlowOutcome o;
+    o.id = f.id;
+    const FlowCounters& c = sim.stats().flow(f.id);
+    o.sent = c.sent;
+    o.delivered = c.delivered;
+    o.dropped = c.dropped;
+    if (samples) o.samples = sim.stats().samples(f.id);
+    out.push_back(std::move(o));
+  }
+  return out;
 }
 
 std::vector<FlowSpec> three_class_flows(double kbps, std::uint32_t bytes) {
@@ -62,6 +68,30 @@ std::vector<FlowSpec> three_class_flows(double kbps, std::uint32_t bytes) {
   };
 }
 
+// The PaperTopologyConfig fields every paper runner sets from its
+// parameters.
+template <class Params>
+PaperTopologyConfig paper_config(const Params& p) {
+  PaperTopologyConfig cfg;
+  cfg.seed = p.seed;
+  cfg.scheme.mode = p.mode;
+  cfg.scheme.classify = p.classify;
+  cfg.scheme.pool_pkts = p.pool_pkts;
+  cfg.scheme.request_pkts = p.request_pkts;
+  return cfg;
+}
+
+void export_metrics(Simulation& sim, std::string* metrics_json) {
+  if (metrics_json != nullptr) *metrics_json = sim.metrics().to_json();
+}
+
+// The topology of the Figs 4.3–4.6 runs (three classed flows to one host).
+PaperTopologyConfig three_flow_config(const QosDropParams& p) {
+  PaperTopologyConfig cfg = paper_config(p);
+  cfg.scheme.reserve_a = p.reserve_a;
+  return cfg;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -70,13 +100,8 @@ std::vector<FlowSpec> three_class_flows(double kbps, std::uint32_t bytes) {
 
 SimultaneousHandoffResult run_simultaneous_handoffs(
     const SimultaneousHandoffParams& p) {
-  PaperTopologyConfig cfg;
-  cfg.seed = p.seed;
+  PaperTopologyConfig cfg = paper_config(p);
   cfg.num_mhs = p.num_mhs;
-  cfg.scheme.mode = p.mode;
-  cfg.scheme.classify = p.classify;
-  cfg.scheme.pool_pkts = p.pool_pkts;
-  cfg.scheme.request_pkts = p.request_pkts;
   PaperTopology topo(cfg);
   topo.simulation().stats().set_keep_samples(false);
 
@@ -106,14 +131,8 @@ SimultaneousHandoffResult run_simultaneous_handoffs(
 
 QosDropResult run_qos_drop_experiment(const QosDropParams& p,
                                       std::string* metrics_json) {
-  PaperTopologyConfig cfg;
-  cfg.seed = p.seed;
+  PaperTopologyConfig cfg = three_flow_config(p);
   cfg.bounce = true;
-  cfg.scheme.mode = p.mode;
-  cfg.scheme.classify = p.classify;
-  cfg.scheme.pool_pkts = p.pool_pkts;
-  cfg.scheme.request_pkts = p.request_pkts;
-  cfg.scheme.reserve_a = p.reserve_a;
   PaperTopology topo(cfg);
 
   auto flows = three_class_flows(p.flow_kbps, p.packet_bytes);
@@ -138,10 +157,8 @@ QosDropResult run_qos_drop_experiment(const QosDropParams& p,
     }
   }
   sim.run_until(t_end + SimTime::seconds(2));
-  for (const FlowSpec& f : flows) {
-    r.flows.push_back(outcome_for(sim, f.id, /*samples=*/false));
-  }
-  if (metrics_json != nullptr) *metrics_json = sim.metrics().to_json();
+  r.flows = outcomes_for(sim, flows, /*samples=*/false);
+  export_metrics(sim, metrics_json);
   return r;
 }
 
@@ -152,29 +169,15 @@ QosDropResult run_qos_drop_experiment(const QosDropParams& p,
 std::vector<FlowOutcome> run_rate_probe(const QosDropParams& base,
                                         double flow_kbps,
                                         std::string* metrics_json) {
-  PaperTopologyConfig cfg;
-  cfg.seed = base.seed;
-  cfg.scheme.mode = base.mode;
-  cfg.scheme.classify = base.classify;
-  cfg.scheme.pool_pkts = base.pool_pkts;
-  cfg.scheme.request_pkts = base.request_pkts;
-  cfg.scheme.reserve_a = base.reserve_a;
-  PaperTopology topo(cfg);
-
+  PaperTopology topo(three_flow_config(base));
   auto flows = three_class_flows(flow_kbps, base.packet_bytes);
   auto attachments = attach_flows(topo, 0, flows, SimTime::seconds(2),
                                   SimTime::seconds(16));
   topo.start();
-  topo.simulation().run_until(SimTime::seconds(20));
-
-  std::vector<FlowOutcome> out;
-  for (const FlowSpec& f : flows) {
-    out.push_back(outcome_for(topo.simulation(), f.id, /*samples=*/false));
-  }
-  if (metrics_json != nullptr) {
-    *metrics_json = topo.simulation().metrics().to_json();
-  }
-  return out;
+  Simulation& sim = topo.simulation();
+  sim.run_until(SimTime::seconds(20));
+  export_metrics(sim, metrics_json);
+  return outcomes_for(sim, flows, /*samples=*/false);
 }
 
 // ---------------------------------------------------------------------------
@@ -183,13 +186,8 @@ std::vector<FlowOutcome> run_rate_probe(const QosDropParams& base,
 
 DelayCaptureResult run_delay_capture(const DelayCaptureParams& p,
                                      std::string* metrics_json) {
-  PaperTopologyConfig cfg;
-  cfg.seed = p.seed;
+  PaperTopologyConfig cfg = paper_config(p);
   cfg.par_nar_delay = p.par_nar_delay;
-  cfg.scheme.mode = p.mode;
-  cfg.scheme.classify = p.classify;
-  cfg.scheme.pool_pkts = p.pool_pkts;
-  cfg.scheme.request_pkts = p.request_pkts;
   cfg.scheme.drain_gap = p.drain_gap;
   PaperTopology topo(cfg);
   topo.simulation().stats().set_keep_samples(true);
@@ -201,9 +199,7 @@ DelayCaptureResult run_delay_capture(const DelayCaptureParams& p,
   topo.simulation().run_until(SimTime::seconds(20));
 
   DelayCaptureResult r;
-  for (const FlowSpec& f : flows) {
-    r.flows.push_back(outcome_for(topo.simulation(), f.id, /*samples=*/true));
-  }
+  r.flows = outcomes_for(topo.simulation(), flows, /*samples=*/true);
 
   // Locate the handoff disturbance: the first sample whose delay exceeds
   // the baseline by 20 ms; the window covers the buffered burst.
@@ -223,9 +219,7 @@ DelayCaptureResult run_delay_capture(const DelayCaptureParams& p,
   if (first == UINT32_MAX) first = 3;
   r.seq_begin = first > 3 ? first - 3 : 0;
   r.seq_end = r.seq_begin + 30;
-  if (metrics_json != nullptr) {
-    *metrics_json = topo.simulation().metrics().to_json();
-  }
+  export_metrics(topo.simulation(), metrics_json);
   return r;
 }
 

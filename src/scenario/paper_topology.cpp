@@ -1,6 +1,30 @@
 #include "scenario/paper_topology.hpp"
 
+#include <string>
+
 namespace fhmip {
+namespace {
+
+// Fig 4.1's two routers keep the paper's names; a longer line numbers them.
+std::string ar_name(int i, int num_ars) {
+  if (num_ars == 2) return i == 0 ? "par" : "nar";
+  return "ar" + std::to_string(i + 1);
+}
+
+}  // namespace
+
+MobileHost add_mobile_host(WlanManager& wlan, Node& node, const Node& map,
+                           const MhAgent::Config& cfg,
+                           std::unique_ptr<MobilityModel> mobility) {
+  MobileHost m;
+  m.node = &node;
+  m.regional = Address{map.address().net, node.id()};
+  node.add_address(m.regional, /*advertised=*/false);
+  m.mip = std::make_unique<MobileIpClient>(node, m.regional, map.address());
+  m.agent = std::make_unique<MhAgent>(node, cfg, m.mip.get());
+  wlan.add_mh(node, std::move(mobility), m.agent.get());
+  return m;
+}
 
 PaperTopology::PaperTopology(const PaperTopologyConfig& cfg)
     : cfg_(cfg), sim_(cfg.seed) {
@@ -8,26 +32,30 @@ PaperTopology::PaperTopology(const PaperTopologyConfig& cfg)
   cn_ = &net_->add_node("cn");
   gw_ = &net_->add_node("gw");
   map_ = &net_->add_node("map");
-  par_ = &net_->add_node("par");
-  nar_ = &net_->add_node("nar");
+  for (int i = 0; i < cfg.num_ars; ++i) {
+    ars_.push_back(&net_->add_node(ar_name(i, cfg.num_ars)));
+  }
 
   cn_->add_address({nets::kCn, 1});
   gw_->add_address({nets::kGw, 1});
   map_->add_address({nets::kMap, 1});
-  par_->add_address({nets::kPar, 1});
-  nar_->add_address({nets::kNar, 1});
+  for (int i = 0; i < cfg.num_ars; ++i) {
+    ars_[i]->add_address({nets::kPar + static_cast<std::uint32_t>(i) * 10, 1});
+  }
 
   net_->connect(*cn_, *gw_, cfg.cn_gw_mbps * 1e6, cfg.cn_gw_delay,
                 cfg.queue_limit);
   net_->connect(*gw_, *map_, cfg.gw_map_mbps * 1e6, cfg.gw_map_delay,
                 cfg.queue_limit);
-  net_->connect(*map_, *par_, cfg.map_ar_mbps * 1e6, cfg.map_ar_delay,
-                cfg.queue_limit);
-  net_->connect(*map_, *nar_, cfg.map_ar_mbps * 1e6, cfg.map_ar_delay,
-                cfg.queue_limit);
-  DuplexLink& par_nar = net_->connect(*par_, *nar_, cfg.par_nar_mbps * 1e6,
-                                      cfg.par_nar_delay, cfg.queue_limit);
-  par_nar_link_ = &par_nar;
+  for (int i = 0; i < cfg.num_ars; ++i) {
+    net_->connect(*map_, *ars_[i], cfg.map_ar_mbps * 1e6, cfg.map_ar_delay,
+                  cfg.queue_limit);
+    if (i > 0) {
+      ar_links_.push_back(&net_->connect(*ars_[i - 1], *ars_[i],
+                                         cfg.par_nar_mbps * 1e6,
+                                         cfg.par_nar_delay, cfg.queue_limit));
+    }
+  }
 
   // Mobile-host nodes exist before route computation (their addresses are
   // unadvertised, so routing never points at them directly).
@@ -40,25 +68,23 @@ PaperTopology::PaperTopology(const PaperTopologyConfig& cfg)
   // The handover tunnel always uses the direct inter-AR link (Figures
   // 4.9/4.10 vary exactly this link's delay); shortest-path routing would
   // otherwise detour via the MAP when the link is slow.
-  par_->routes().set_prefix_route(nets::kNar, Route::via(par_nar.toward(*nar_)));
-  nar_->routes().set_prefix_route(nets::kPar, Route::via(par_nar.toward(*par_)));
+  for (DuplexLink* link : ar_links_) {
+    Node& a = link->a();
+    Node& b = link->b();
+    a.routes().set_prefix_route(b.address().net, Route::via(link->toward(b)));
+    b.routes().set_prefix_route(a.address().net, Route::via(link->toward(a)));
+  }
 
   map_agent_ = std::make_unique<MapAgent>(*map_);
-  par_agent_ = std::make_unique<ArAgent>(*par_, cfg.scheme, cfg.rtx);
-  nar_agent_ = std::make_unique<ArAgent>(*nar_, cfg.scheme, cfg.rtx);
+  for (Node* ar : ars_) {
+    ar_agents_.push_back(std::make_unique<ArAgent>(*ar, cfg.scheme, cfg.rtx));
+  }
 
   wlan_ = std::make_unique<WlanManager>(sim_, cfg.wlan);
-  ap_par_ = &wlan_->add_ap(*par_, Vec2{0, 0}, cfg.ap_radius_m,
-                           par_agent_.get());
-  ap_nar_ = &wlan_->add_ap(*nar_, Vec2{cfg.ar_distance_m, 0},
-                           cfg.ap_radius_m, nar_agent_.get());
-
-  auto resolver = [this](NodeId ap) -> Node* {
-    AccessPoint* a = wlan_->ap(ap);
-    return a == nullptr ? nullptr : &a->ar_node();
-  };
-  par_agent_->set_ap_resolver(resolver);
-  nar_agent_->set_ap_resolver(resolver);
+  for (int i = 0; i < cfg.num_ars; ++i) {
+    aps_.push_back(&wlan_->add_ap(*ars_[i], Vec2{cfg.ar_distance_m * i, 0},
+                                  cfg.ap_radius_m, ar_agents_[i].get()));
+  }
 
   MhAgent::Config mh_cfg;
   mh_cfg.scheme = cfg.scheme;
@@ -71,34 +97,27 @@ PaperTopology::PaperTopology(const PaperTopologyConfig& cfg)
   mh_cfg.watchdog = cfg.watchdog;
   mh_cfg.rtx = cfg.rtx;
 
-  for (int i = 0; i < cfg.num_mhs; ++i) {
-    Mobile m;
-    m.node = mh_nodes[i];
-    m.regional = Address{nets::kMap, m.node->id()};
-    m.node->add_address(m.regional, /*advertised=*/false);
-    m.mip =
-        std::make_unique<MobileIpClient>(*m.node, m.regional, map_->address());
-    m.agent = std::make_unique<MhAgent>(*m.node, mh_cfg, m.mip.get());
-
+  const Vec2 first{0, 0};
+  const Vec2 last{cfg.ar_distance_m * (cfg.num_ars - 1), 0};
+  for (Node* node : mh_nodes) {
     std::unique_ptr<MobilityModel> mob;
-    const Vec2 a{0, 0};
-    const Vec2 b{cfg.ar_distance_m, 0};
     if (cfg.bounce) {
-      mob = std::make_unique<BounceMobility>(a, b, cfg.speed_mps,
+      mob = std::make_unique<BounceMobility>(first, last, cfg.speed_mps,
                                              cfg.mobility_start);
     } else {
-      mob = std::make_unique<LinearMobility>(a, Vec2{cfg.speed_mps, 0},
+      mob = std::make_unique<LinearMobility>(first, Vec2{cfg.speed_mps, 0},
                                              cfg.mobility_start);
     }
-    wlan_->add_mh(*m.node, std::move(mob), m.agent.get());
-    mobiles_.push_back(std::move(m));
+    mobiles_.push_back(
+        add_mobile_host(*wlan_, *node, *map_, mh_cfg, std::move(mob)));
   }
 }
 
 void PaperTopology::start() { wlan_->start(); }
 
 SimTime PaperTopology::leg_duration() const {
-  return SimTime::from_seconds(cfg_.ar_distance_m / cfg_.speed_mps);
+  return SimTime::from_seconds(cfg_.ar_distance_m * (cfg_.num_ars - 1) /
+                               cfg_.speed_mps);
 }
 
 }  // namespace fhmip

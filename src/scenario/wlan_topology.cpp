@@ -30,12 +30,6 @@ WlanTopology::WlanTopology(const WlanTopologyConfig& cfg)
   ap1_ = &wlan_->add_ap(*ar_, Vec2{0, 0}, 120, ar_agent_.get());
   ap2_ = &wlan_->add_ap(*ar_, Vec2{60, 0}, 120, ar_agent_.get());
 
-  auto resolver = [this](NodeId ap) -> Node* {
-    AccessPoint* a = wlan_->ap(ap);
-    return a == nullptr ? nullptr : &a->ar_node();
-  };
-  ar_agent_->set_ap_resolver(resolver);
-
   MhAgent::Config mh_cfg;
   mh_cfg.scheme = cfg.scheme;
   mh_cfg.use_fast_handover = cfg.use_fast_handover;

@@ -6,6 +6,7 @@
 namespace fhmip {
 
 class SimplexLink;
+class WlanManager;
 
 /// Receives attachment events for mobile hosts under an access router.
 /// Implemented by the Fast Handover AR agent.
@@ -17,6 +18,17 @@ class ArAttachListener {
   virtual void on_mh_attached(MhId mh, NodeId ap, SimplexLink& downlink) = 0;
   /// The MH went dark (handoff blackout or left coverage).
   virtual void on_mh_detached(MhId mh) = 0;
+
+ protected:
+  /// The access router owning access point `ap` in the WLAN this
+  /// listener's APs were added to; nullptr when unknown. The PAR maps the
+  /// link-layer target an MH names in its RtSolPr to the NAR through it.
+  Node* ar_of_ap(NodeId ap) const;
+
+ private:
+  friend class WlanManager;  // add_ap binds wlan_
+  // Outlives the events that call ar_of_ap (the topology owns both).
+  const WlanManager* wlan_ = nullptr;
 };
 
 /// An IEEE 802.11 access point: fixed position, circular coverage, bridges

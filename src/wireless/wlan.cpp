@@ -43,8 +43,14 @@ WlanManager::WlanManager(Simulation& sim, WlanConfig cfg)
       "wlan/blackout_ms", {10, 20, 50, 100, 200, 300, 400, 500, 1000});
 }
 
+Node* ArAttachListener::ar_of_ap(NodeId ap) const {
+  AccessPoint* a = wlan_ == nullptr ? nullptr : wlan_->ap(ap);
+  return a == nullptr ? nullptr : &a->ar_node();
+}
+
 AccessPoint& WlanManager::add_ap(Node& ar_node, Vec2 pos, double radius_m,
                                  ArAttachListener* listener) {
+  if (listener != nullptr) listener->wlan_ = this;
   aps_.push_back(std::make_unique<AccessPoint>(next_ap_id_++, ar_node, pos,
                                                radius_m, listener));
   AccessPoint& ap = *aps_.back();

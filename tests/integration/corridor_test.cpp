@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
-#include "scenario/corridor_topology.hpp"
+#include <variant>
+
+#include "scenario/paper_topology.hpp"
 #include "transport/cbr.hpp"
 #include "transport/sink.hpp"
 
@@ -11,16 +13,16 @@ using namespace timeliterals;
 
 /// Multi-AR corridor roaming: every interior router plays NAR, then PAR.
 struct CorridorFixture : ::testing::Test {
-  CorridorConfig cfg;
-  std::unique_ptr<CorridorTopology> topo;
+  PaperTopologyConfig cfg;
+  std::unique_ptr<PaperTopology> topo;
   std::unique_ptr<UdpSink> sink;
   std::unique_ptr<CbrSource> source;
 
   void build(TrafficClass cls = TrafficClass::kHighPriority) {
-    topo = std::make_unique<CorridorTopology>(cfg);
-    sink = std::make_unique<UdpSink>(topo->mh(), 7000);
+    topo = std::make_unique<PaperTopology>(cfg);
+    sink = std::make_unique<UdpSink>(*topo->mobile(0).node, 7000);
     CbrSource::Config c;
-    c.dst = topo->mh_regional();
+    c.dst = topo->mobile(0).regional;
     c.dst_port = 7000;
     c.packet_bytes = 160;
     c.interval = 10_ms;
@@ -31,7 +33,7 @@ struct CorridorFixture : ::testing::Test {
   }
 
   void run_walk() {
-    const SimTime end = cfg.mobility_start + topo->walk_duration() + 5_s;
+    const SimTime end = cfg.mobility_start + topo->leg_duration() + 5_s;
     source->stop(end - 2_s);
     topo->start();
     topo->simulation().run_until(end);
@@ -42,7 +44,7 @@ TEST_F(CorridorFixture, WalksThroughAllCellsWithoutLoss) {
   cfg.num_ars = 4;
   build();
   run_walk();
-  const auto& mh = topo->mh_agent().counters();
+  const auto& mh = topo->mobile(0).agent->counters();
   EXPECT_EQ(mh.handoffs, 3u);  // AR1->AR2->AR3->AR4
   EXPECT_EQ(mh.non_anticipated, 0u);
   const FlowCounters& c = topo->simulation().stats().flow(1);
@@ -72,10 +74,10 @@ TEST_F(CorridorFixture, BindingFollowsTheWalk) {
   build();
   run_walk();
   // Initial attach + one update per handover.
-  EXPECT_EQ(topo->mip().updates_sent(), 3u);
-  EXPECT_EQ(topo->mip().acks_received(), 3u);
+  EXPECT_EQ(topo->mobile(0).mip->updates_sent(), 3u);
+  EXPECT_EQ(topo->mobile(0).mip->acks_received(), 3u);
   const auto binding = topo->map_agent().bindings().lookup(
-      topo->mh_regional(), topo->simulation().now());
+      topo->mobile(0).regional, topo->simulation().now());
   ASSERT_TRUE(binding.has_value());
   EXPECT_EQ(binding->net, topo->ar(2).address().net);  // parked at the end
 }
@@ -95,7 +97,7 @@ TEST_F(CorridorFixture, LongCorridorKeepsConservation) {
   build(TrafficClass::kUnspecified);
   run_walk();
   const FlowCounters& c = topo->simulation().stats().flow(1);
-  EXPECT_EQ(topo->mh_agent().counters().handoffs, 7u);
+  EXPECT_EQ(topo->mobile(0).agent->counters().handoffs, 7u);
   EXPECT_EQ(c.sent, c.delivered + c.dropped);
   EXPECT_EQ(c.dropped, 0u);
 }
@@ -109,6 +111,43 @@ TEST_F(CorridorFixture, NoBuffersLosePerHandover) {
   // ~20 packets per 200 ms blackout, three blackouts.
   EXPECT_GE(c.dropped, 55u);
   EXPECT_LE(c.dropped, 70u);
+}
+
+TEST_F(CorridorFixture, TunnelsCrossTheDirectLinks) {
+  // A 50 ms AR-AR link against 2 + 2 ms through the MAP: shortest-path
+  // routing alone would send every AR-to-AR packet via the MAP.
+  cfg.num_ars = 3;
+  cfg.par_nar_delay = 50_ms;
+  build();
+  struct Crossed {
+    std::uint64_t hi = 0, hack = 0, redirected = 0;
+  };
+  std::vector<Crossed> seen(2);
+  for (std::size_t k = 0; k < 2; ++k) {
+    DuplexLink& link = topo->ar_link(k);
+    link.toward(topo->ar(k + 1)).set_tx_filter([&seen, k](const Packet& p) {
+      if (std::holds_alternative<HiMsg>(p.msg)) ++seen[k].hi;
+      if (p.flow == 1 && p.tunneled()) ++seen[k].redirected;
+      return false;
+    });
+    link.toward(topo->ar(k)).set_tx_filter([&seen, k](const Packet& p) {
+      if (std::holds_alternative<HackMsg>(p.msg)) ++seen[k].hack;
+      return false;
+    });
+  }
+  run_walk();
+  EXPECT_EQ(topo->mobile(0).agent->counters().handoffs, 2u);
+  // Every HI (first send and the resends the 100 ms round trip provokes)
+  // and every HAck crossed the direct link.
+  for (std::size_t k = 0; k < 2; ++k) {
+    const auto& par = topo->ar_agent(k).counters();
+    const auto& nar = topo->ar_agent(k + 1).counters();
+    EXPECT_EQ(par.hi_sent, 1u) << "ar" << k + 1;
+    EXPECT_EQ(seen[k].hi, par.hi_sent + par.hi_rtx) << "ar" << k + 1;
+    EXPECT_GE(nar.hack_sent, 1u) << "ar" << k + 2;
+    EXPECT_EQ(seen[k].hack, nar.hack_sent) << "ar" << k + 2;
+    EXPECT_GT(seen[k].redirected, 0) << "ar" << k + 1;
+  }
 }
 
 }  // namespace

@@ -128,6 +128,12 @@ class TestSemanticRules(FixtureRoot):
         # three stay silent.
         self.assert_findings("AUD-01", p, [19, 25, 30], [])
 
+    def test_aud01_delegates_only_through_calls_on_this(self):
+        p = self.stage("aud01_receiver.hpp")
+        # flush() calls the same-named drain() of its queue member: not a
+        # delegation, so it is reported; settle() calls this->drain().
+        self.assert_findings("AUD-01", p, [17], [])
+
     def test_exc01_fires_and_suppresses(self):
         p = self.stage("exc01.hpp")
         # Throwing dtor is active; noexcept throw is NOLINTed; caught

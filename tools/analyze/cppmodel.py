@@ -111,6 +111,14 @@ class LambdaInfo:
         return False
 
 
+def _calls_on_this(toks, i) -> bool:
+    """True when the call named at toks[i] has no receiver or `this->`."""
+    before = toks[i - 1].text
+    if before == "->":
+        return toks[i - 2].text == "this"
+    return before not in (".", "::")
+
+
 @dataclass
 class FunctionInfo:
     name: str
@@ -120,7 +128,9 @@ class FunctionInfo:
     locals: dict[str, str] = field(default_factory=dict)
     range_fors: list[RangeFor] = field(default_factory=list)
     lambdas: list[LambdaInfo] = field(default_factory=list)
-    calls: set[str] = field(default_factory=set)
+    # Names called on this object: unqualified (`f()`) or `this->f()`,
+    # never `x.f()`, `p->f()` or `N::f()`.
+    self_calls: set[str] = field(default_factory=set)
     try_spans: list[tuple[int, int]] = field(default_factory=list)
     n_params: int = 0  # declared parameter-group count (incl. unnamed)
     n_defaults: int = 0  # how many of those carry a default argument
@@ -679,8 +689,9 @@ class FileModel:
                         m += 1
                     fn.lambdas.append(
                         LambdaInfo(list(caps), (k + 1, m - 1), toks[i].line))
-            if t.kind == ID and i + 1 < end and toks[i + 1].text == "(":
-                fn.calls.add(t.text)
+            if t.kind == ID and i + 1 < end and toks[i + 1].text == "(" \
+                    and _calls_on_this(toks, i):
+                fn.self_calls.add(t.text)
             if t.text in (";", "{", "}"):
                 if stmt:
                     d = _parse_decl(stmt)

@@ -555,8 +555,9 @@ def check_aud01(ctx, unit):
         if not audited:
             continue
         # Transitive delegation closure within the class: a method counts
-        # as auditing when any same-class call chain from it reaches an
-        # FHMIP_AUDIT (was one level before the call-graph PR).
+        # as auditing when any chain of calls on `this` from it reaches an
+        # FHMIP_AUDIT. A same-named call on another object (`q.drain()`)
+        # does not delegate.
         audit_names = {m.name for m in audited}
         changed = True
         while changed:
@@ -564,7 +565,7 @@ def check_aud01(ctx, unit):
             for m in cls.methods:
                 if m.name in audit_names:
                     continue
-                if m.calls & audit_names:
+                if m.self_calls & audit_names:
                     audit_names.add(m.name)
                     changed = True
         for fn in cls.methods:
@@ -577,9 +578,8 @@ def check_aud01(ctx, unit):
                 continue
             if _has_audit(fn):
                 continue
-            # One level of delegation: calling any method of this class
-            # that audits counts.
-            if fn.calls & audit_names:
+            # Delegation: calling an auditing method on this object counts.
+            if fn.self_calls & audit_names:
                 continue
             if not _mutates_fields(fn, cls.fields):
                 continue
