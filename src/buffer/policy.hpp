@@ -70,9 +70,6 @@ struct BufferSchemeConfig {
   /// backstop: the per-context lifetime timer (an accounted, graceful
   /// teardown) always gets to fire first when the agent is healthy.
   SimTime lease_grace = SimTime::seconds(1);
-  /// How often the lease reaper sweeps for expired grants (only while
-  /// deadline-bearing leases exist).
-  SimTime lease_reap_period = SimTime::millis(500);
   /// Buffer allocation lifetime (BI lifetime field). Must cover the whole
   /// anticipation window: from the L2 trigger (overlap entry) through the
   /// blackout and release — pedestrian speeds need several seconds.
@@ -83,12 +80,10 @@ struct BufferSchemeConfig {
 
   // --- §5 future-work extension: precise allocation ---
   /// When set, the PAR replaces the MH's requested size with its own
-  /// estimate of the host's downstream rate × `expected_blackout`,
-  /// clamped to [min_request_pkts, request]. Idle or slow hosts then
-  /// reserve far less of the shared pool.
+  /// estimate of the host's downstream rate × an expected 300 ms blackout,
+  /// clamped to [4, request]. Idle or slow hosts then reserve far less of
+  /// the shared pool.
   bool adaptive_request = false;
-  SimTime expected_blackout = SimTime::millis(300);
-  std::uint32_t min_request_pkts = 4;
 };
 
 /// Table 3.3 — the buffering operation for one packet given the allocation

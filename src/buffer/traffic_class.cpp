@@ -15,18 +15,6 @@ TrafficClass traffic_class_from_value(std::uint8_t v) {
   }
 }
 
-TrafficClass traffic_class_from_phb(DiffservPhb phb) {
-  switch (phb) {
-    case DiffservPhb::kExpeditedForwarding:
-      return TrafficClass::kRealTime;
-    case DiffservPhb::kAssuredForwarding:
-      return TrafficClass::kHighPriority;
-    case DiffservPhb::kDefault:
-      return TrafficClass::kBestEffort;
-  }
-  return TrafficClass::kBestEffort;
-}
-
 DiffservPhb phb_from_traffic_class(TrafficClass c) {
   switch (effective_class(c)) {
     case TrafficClass::kRealTime:

@@ -19,11 +19,9 @@ inline constexpr std::uint8_t class_of_service_value(TrafficClass c) {
 TrafficClass traffic_class_from_value(std::uint8_t v);
 
 /// Diffserv interoperability (§3.3 "by mapping the classes of service with
-/// the per-hop behaviour (PHB) in Diffserv"): maps a Diffserv codepoint to
-/// the scheme's class — EF → real-time, AF → high priority, else best
-/// effort.
+/// the per-hop behaviour (PHB) in Diffserv"): the PHB each class maps to —
+/// real-time → EF, high priority → AF, else the default PHB.
 enum class DiffservPhb { kDefault, kExpeditedForwarding, kAssuredForwarding };
-TrafficClass traffic_class_from_phb(DiffservPhb phb);
 DiffservPhb phb_from_traffic_class(TrafficClass c);
 
 }  // namespace fhmip

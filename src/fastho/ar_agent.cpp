@@ -5,6 +5,11 @@
 
 namespace fhmip {
 
+// Adaptive allocation (§5): the disconnection a request must cover, and the
+// floor under the rate-derived estimate.
+constexpr SimTime kExpectedBlackout = SimTime::millis(300);
+constexpr std::uint32_t kMinRequestPkts = 4;
+
 ArAgent::ArAgent(Node& node, BufferSchemeConfig cfg, RetransmitPolicy rtx)
     : node_(node),
       cfg_(cfg),
@@ -18,7 +23,6 @@ ArAgent::ArAgent(Node& node, BufferSchemeConfig cfg, RetransmitPolicy rtx)
   ctrl_id_ = node_.add_control_handler(
       [this](PacketPtr& p) { return handle_control(p); });
   Simulation& sim = node_.sim();
-  buffers_.set_reap_period(cfg_.lease_reap_period);
   // The reaper is the backstop behind the per-context lifetime timers: if a
   // lease outlives its deadline (timer lost to a bug or tampering, context
   // torn down without release), its packets are flushed into an accounted
@@ -121,7 +125,7 @@ void ArAgent::on_rtsolpr(const RtSolPrMsg& m, Address src) {
   Simulation& sim = node_.sim();
   Node* target_ar = ar_of_ap(m.target_ap);
   // The PCoA is the address the host actually uses on this subnet — taken
-  // from the solicitation's source (it may be a collision substitute).
+  // from the solicitation's source when it was sent from this subnet.
   const Address pcoa =
       src.net == prefix() ? src : make_coa(prefix(), m.mh);
 
@@ -204,10 +208,9 @@ void ArAgent::on_rtsolpr(const RtSolPrMsg& m, Address src) {
     // Precise allocation (§5): replace the host's blanket request with the
     // observed downstream rate over the expected disconnection, clamped to
     // [min_request, requested].
-    std::uint32_t est = cfg_.min_request_pkts;
+    std::uint32_t est = kMinRequestPkts;
     if (const Host* h = find_host(m.mh)) {
-      est = std::max(est, h->rate.packets_in(cfg_.expected_blackout,
-                                             sim.now()));
+      est = std::max(est, h->rate.packets_in(kExpectedBlackout, sim.now()));
     }
     ctx.request.size_pkts = std::min(est, ctx.request.size_pkts);
   }
@@ -229,7 +232,6 @@ void ArAgent::on_rtsolpr(const RtSolPrMsg& m, Address src) {
   HiMsg hi;
   hi.mh = m.mh;
   hi.pcoa = pcoa;
-  hi.ncoa = make_coa(ctx.nar_addr.net, m.mh);
   hi.par_addr = address();
   const bool nar_buffering =
       cfg_.mode == BufferMode::kNarOnly || cfg_.mode == BufferMode::kDual;
@@ -237,7 +239,6 @@ void ArAgent::on_rtsolpr(const RtSolPrMsg& m, Address src) {
     hi.br = ctx.request;
     hi.has_br = true;
   }
-  hi.auth_token = m.auth_token;
   hi.seq = ++next_seq_;
   ctx.hi_msg = hi;
   ctx.hi_sends = 1;
@@ -296,18 +297,6 @@ void ArAgent::on_hi(const HiMsg& m) {
       return;
     }
   }
-  if (!auth_.verify(m.mh, m.auth_token)) {
-    // §5: the NAR refuses unauthenticated handovers — no buffer, no host
-    // route, no tunnel endpoint. The host may still attach at L2 and
-    // re-register the slow way.
-    HackMsg hack;
-    hack.mh = m.mh;
-    hack.accepted = false;
-    hack.seq = m.seq;
-    ++counters_.hack_sent;
-    send_control(m.par_addr, hack);
-    return;
-  }
   teardown(m.mh, ArRole::kNar);
   Host& host = hosts_[m.mh];
   NarContext ctx;
@@ -316,23 +305,6 @@ void ArAgent::on_hi(const HiMsg& m) {
   ctx.par_addr = m.par_addr;
   ctx.hi_seq = m.seq;
   ctx.mh_here = host.downlink != nullptr;
-  // Validate the proposed NCoA against addresses already in use on this
-  // subnet; a collision gets the next free interface identifier.
-  Address ncoa = m.ncoa.valid() ? m.ncoa : make_coa(prefix(), m.mh);
-  if (reserved_hosts_.count(ncoa.host) > 0) {
-    ++ncoa_collisions_;
-    // Re-use a previously assigned substitute for this host, if any — the
-    // assignment is an address lease that outlives the handover context.
-    if (host.alias == 0) {
-      host.alias = ncoa.host;
-      while (reserved_hosts_.count(host.alias) > 0 ||
-             host_alias_.count(host.alias) > 0) {
-        host.alias += 100'000;  // outside the node-id space
-      }
-      host_alias_[host.alias] = m.mh;
-    }
-    ncoa = make_coa(prefix(), host.alias);
-  }
   const SimTime life =
       (m.has_br && !m.br.lifetime.is_zero()) ? m.br.lifetime : cfg_.lifetime;
   if (m.has_br) {
@@ -357,8 +329,6 @@ void ArAgent::on_hi(const HiMsg& m) {
 
   HackMsg hack;
   hack.mh = m.mh;
-  hack.accepted = true;
-  hack.ncoa = ncoa;
   hack.granted_pkts = ctx.grant;
   hack.buffer_ok = ctx.grant > 0;
   hack.seq = m.seq;
@@ -399,20 +369,6 @@ void ArAgent::on_hack(const HackMsg& m) {
   ctx.hack_received = true;
   record(m.mh, obs::HoEventKind::kHackRecv);
   ctx.nar_grant = m.buffer_ok ? m.granted_pkts : 0;
-  if (!m.accepted) {
-    // The NAR refused the handover (authentication): no tunnel exists, so
-    // the PAR must not redirect or buffer — the host gets a plain, lossy
-    // handoff. Report the empty grant.
-    ctx.nar_rejected = true;
-    PrRtAdvMsg adv;
-    adv.mh = m.mh;
-    adv.nar_addr = ctx.nar_addr;
-    adv.nar_prefix = ctx.nar_addr.net;
-    adv.seq = ctx.rtsolpr_seq;
-    ctx.adv = {adv, true};
-    send_adv(ctx.adv, ctx.pcoa);
-    return;
-  }
 
   // PAR-side allocation policy: with classification on, the PAR's share is
   // needed for best-effort and high-priority overflow (Table 3.3 cases
@@ -436,7 +392,6 @@ void ArAgent::on_hack(const HackMsg& m) {
   adv.nar_node = kNoNode;
   adv.nar_addr = ctx.nar_addr;
   adv.nar_prefix = ctx.nar_addr.net;
-  adv.ncoa = m.ncoa;
   adv.grant.nar_ok = ctx.nar_grant > 0;
   adv.grant.nar_pkts = ctx.nar_grant;
   adv.grant.par_ok = ctx.grant > 0;
@@ -647,11 +602,7 @@ void ArAgent::on_bi(const BiMsg& m) {
 // ---------------------------------------------------------------------------
 
 void ArAgent::handle_subnet_packet(PacketPtr p) {
-  MhId mh = p->dst.host;
-  if (auto alias = host_alias_.find(p->dst.host);
-      alias != host_alias_.end()) {
-    mh = alias->second;  // substituted NCoA (collision avoidance)
-  }
+  const MhId mh = p->dst.host;
   auto it = hosts_.find(mh);
   if (it == hosts_.end()) {
     drop(std::move(p), DropReason::kUnattached);

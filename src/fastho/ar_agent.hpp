@@ -3,13 +3,11 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <set>
 #include <utility>
 
 #include "buffer/buffer_manager.hpp"
 #include "buffer/policy.hpp"
 #include "buffer/rate_estimator.hpp"
-#include "fastho/auth.hpp"
 #include "fastho/messages.hpp"
 #include "fastho/reliability.hpp"
 #include "net/node.hpp"
@@ -89,13 +87,6 @@ class ArAgent : public ArAttachListener {
   Address address() const { return node_.address(); }
   std::uint32_t prefix() const { return node_.address().net; }
   BufferManager& buffers() { return buffers_; }
-  /// Handover admission control (NAR side; off by default).
-  HandoverAuthenticator& auth() { return auth_; }
-  /// Marks an interface identifier as already in use on this subnet —
-  /// NCoA proposals colliding with it get a substitute address (§2.3.2's
-  /// "verifying if NCoA ... is a valid address in the subnet").
-  void reserve_host_id(std::uint32_t host) { reserved_hosts_.insert(host); }
-  std::uint64_t ncoa_collisions() const { return ncoa_collisions_; }
   /// Downstream rate estimate for an attached host (adaptive allocation).
   double estimated_pps(MhId mh) const;
   const Counters& counters() const { return counters_; }
@@ -127,7 +118,7 @@ class ArAgent : public ArAttachListener {
     Address pcoa;
     Address nar_addr;
     std::uint32_t nar_grant = 0;   // what the NAR granted via HAck+BA
-    bool nar_rejected = false;     // HAck refused / negotiation exhausted
+    bool nar_rejected = false;     // HI negotiation exhausted
     bool hack_received = false;
     bool redirecting = false;
     bool nar_full = false;         // Buffer Full received from the NAR
@@ -166,14 +157,13 @@ class ArAgent : public ArAttachListener {
   };
   // Everything this router knows about one host, in whichever roles it
   // plays for it. The record lives while the host is attached, holds a
-  // context, has rate history or owns an NCoA alias, and no longer.
+  // context or has rate history, and no longer.
   struct Host {
     std::unique_ptr<ParContext> par;
     std::unique_ptr<NarContext> nar;
     std::unique_ptr<IntraContext> intra;
     SimplexLink* downlink = nullptr;  // attached when non-null
     RateEstimator rate;               // downstream rate, kept on detach
-    std::uint32_t alias = 0;          // substituted NCoA host id (0 = none)
 
     ContextBase* context(ArRole role) const {
       if (role == ArRole::kPar) return par.get();
@@ -182,7 +172,7 @@ class ArAgent : public ArAttachListener {
     }
     bool idle() const {
       return !par && !nar && !intra && downlink == nullptr &&
-             rate.total_packets() == 0 && alias == 0;
+             rate.total_packets() == 0;
     }
   };
   using HostTable = std::map<MhId, Host>;
@@ -252,10 +242,6 @@ class ArAgent : public ArAttachListener {
   obs::Counter* m_drained_ = nullptr;
   obs::Counter* m_crashes_ = nullptr;
   HostTable hosts_;
-  HandoverAuthenticator auth_;
-  std::set<std::uint32_t> reserved_hosts_;
-  std::map<std::uint32_t, MhId> host_alias_;  // substituted NCoA hosts
-  std::uint64_t ncoa_collisions_ = 0;
   CtrlSeq next_seq_ = 0;
   Counters counters_;
 };

@@ -1,12 +1,14 @@
 #include "fastho/mh_agent.hpp"
 
-#include "fastho/auth.hpp"
 #include "sim/check.hpp"
 #include "sim/simulation.hpp"
 
 namespace fhmip {
 
 using obs::HoEventKind;
+
+// Lifetime requested by every binding update to the MAP.
+constexpr SimTime kBindingLifetime = SimTime::seconds(60);
 
 MhAgent::MhAgent(Node& node, Config cfg, MobileIpClient* mip)
     : node_(node), cfg_(cfg), mip_(mip) {
@@ -141,7 +143,6 @@ void MhAgent::on_prrtadv(const PrRtAdvMsg& m) {
   rtsolpr_timer_ = kInvalidEvent;
   prrtadv_received_ = true;
   last_grant_ = m.grant;
-  negotiated_ncoa_ = m.ncoa;
   if (m.intra_ar) intra_pending_ = true;
   if (prrtadv_timed_out_ && target_ap_ != kNoNode && !fbu_sent_on_old_link_) {
     // The advertisement beat us after all; resume the anticipated path.
@@ -180,7 +181,7 @@ void MhAgent::on_l2_trigger(NodeId target_ap, Node& target_ar) {
   if (cfg_.simultaneous_binding && mip_ != nullptr &&
       target_ar.address() != current_ar_addr_) {
     mip_->send_simultaneous_binding(make_coa(target_ar.address().net, id()),
-                                    cfg_.bu_lifetime);
+                                    kBindingLifetime);
   }
   if (!cfg_.use_fast_handover || !cfg_.anticipate) return;
   target_ap_ = target_ap;
@@ -199,9 +200,6 @@ void MhAgent::send_rtsolpr(NodeId target_ap) {
   RtSolPrMsg m;
   m.mh = id();
   m.target_ap = target_ap;
-  if (cfg_.auth_key != 0) {
-    m.auth_token = HandoverAuthenticator::token(id(), cfg_.auth_key);
-  }
   if (cfg_.request_buffers) {
     m.has_bi = true;
     m.bi.size_pkts = cfg_.scheme.request_pkts;
@@ -414,13 +412,7 @@ void MhAgent::fna_timeout() {
 void MhAgent::on_attached(NodeId /*ap*/, Node& ar) {
   link_up_ = true;
   const Address ar_addr = ar.address();
-  // Use the NAR-validated NCoA when one was negotiated for this subnet
-  // (it differs from the default when the proposal collided, §2.3.2).
-  const Address new_coa =
-      (negotiated_ncoa_.valid() && negotiated_ncoa_.net == ar_addr.net)
-          ? negotiated_ncoa_
-          : make_coa(ar_addr.net, id());
-  negotiated_ncoa_ = kNoAddress;
+  const Address new_coa = make_coa(ar_addr.net, id());
 
   if (!first_attach_done_) {
     // Initial association: configure the care-of address and register with
@@ -429,7 +421,7 @@ void MhAgent::on_attached(NodeId /*ap*/, Node& ar) {
     current_ar_addr_ = ar_addr;
     pcoa_ = new_coa;
     node_.add_address(pcoa_, /*advertised=*/false);
-    if (mip_ != nullptr) mip_->send_binding_update(pcoa_, cfg_.bu_lifetime);
+    if (mip_ != nullptr) mip_->send_binding_update(pcoa_, kBindingLifetime);
     return;
   }
 
@@ -497,7 +489,7 @@ void MhAgent::on_attached(NodeId /*ap*/, Node& ar) {
 
   // HMIPv6 local binding update: reroute the regional address to the new
   // LCoA at the MAP (§2.2.1 step 4).
-  if (mip_ != nullptr) mip_->send_binding_update(new_coa, cfg_.bu_lifetime);
+  if (mip_ != nullptr) mip_->send_binding_update(new_coa, kBindingLifetime);
 
   current_ar_addr_ = ar_addr;
   pcoa_ = new_coa;

@@ -49,13 +49,9 @@ class MhAgent : public L2Callbacks {
     /// single-radio host cannot hear the second cell, which is the
     /// thesis's argument for buffering.
     bool simultaneous_binding = false;
-    /// Shared handover-authentication key (0 = none). The token derived
-    /// from it is stamped on RtSolPr and verified by the NAR (§5).
-    std::uint64_t auth_key = 0;
     /// BI start_time = trigger time + this offset; zero disables the
     /// fast-mover safety valve.
     SimTime start_time_offset;
-    SimTime bu_lifetime = SimTime::seconds(60);
     /// Control-message retransmission/backoff (rtx.enabled = false
     /// restores fire-and-forget signaling).
     RetransmitPolicy rtx;
@@ -164,7 +160,6 @@ class MhAgent : public L2Callbacks {
   bool prrtadv_received_ = false;
   bool fbu_sent_on_old_link_ = false;
   bool intra_pending_ = false;
-  Address negotiated_ncoa_;  // validated by the NAR (may differ on collision)
   BufferGrant last_grant_;
 
   // Reliability layer state.

@@ -65,8 +65,6 @@ struct RtSolPrMsg {
   NodeId target_ap = kNoNode;
   BufferRequest bi;
   bool has_bi = false;
-  /// Handover authentication token (0 = none); verified by the NAR.
-  std::uint64_t auth_token = 0;
   CtrlSeq seq = kNoCtrlSeq;
 };
 
@@ -76,7 +74,6 @@ struct PrRtAdvMsg {
   NodeId nar_node = kNoNode;
   Address nar_addr;
   std::uint32_t nar_prefix = 0;
-  Address ncoa;           // the validated new care-of address
   bool intra_ar = false;  // §3.2.2.4: pure link-layer handoff, same AR
   BufferGrant grant;
   CtrlSeq seq = kNoCtrlSeq;  // echoes the RtSolPr being answered
@@ -86,22 +83,15 @@ struct PrRtAdvMsg {
 struct HiMsg {
   MhId mh = kNoNode;
   Address pcoa;
-  Address ncoa;  // proposed NCoA (zero if unknown)
   Address par_addr;
   BufferRequest br;
   bool has_br = false;
-  /// The MH's authentication token, relayed from RtSolPr for the NAR.
-  std::uint64_t auth_token = 0;
   CtrlSeq seq = kNoCtrlSeq;
 };
 
-/// Handover Acknowledge (+ piggybacked Buffer Ack). `ncoa` is the address
-/// the NAR validated (or substituted, when the proposed one collided with
-/// an address already in use on its subnet — §2.3.2's NCoA verification).
+/// Handover Acknowledge (+ piggybacked Buffer Ack).
 struct HackMsg {
   MhId mh = kNoNode;
-  bool accepted = false;
-  Address ncoa;
   std::uint32_t granted_pkts = 0;
   bool buffer_ok = false;
   CtrlSeq seq = kNoCtrlSeq;  // echoes the HI being answered

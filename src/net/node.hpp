@@ -69,13 +69,6 @@ class Node {
   ControlHandlerId add_control_handler(ControlHandler h);
   void remove_control_handler(ControlHandlerId id);
 
-  /// Packet-mangling hook applied to every packet this node forwards
-  /// (before route lookup). Used for edge functions such as Diffserv
-  /// marking; pass nullptr to clear.
-  void set_forward_filter(std::function<void(Packet&)> f) {
-    forward_filter_ = std::move(f);
-  }
-
   std::uint64_t packets_forwarded() const { return forwarded_; }
   std::uint64_t packets_received_local() const { return received_local_; }
   /// Unclaimed control messages destroyed at this node (kDiscard events).
@@ -94,7 +87,6 @@ class Node {
   std::unordered_map<std::uint16_t, PortHandler> ports_;
   std::vector<std::pair<ControlHandlerId, ControlHandler>> control_handlers_;
   ControlHandlerId next_control_handler_id_ = 1;
-  std::function<void(Packet&)> forward_filter_;
   std::uint64_t forwarded_ = 0;
   std::uint64_t received_local_ = 0;
   std::uint64_t discarded_ = 0;

@@ -92,7 +92,6 @@ PaperTopology::PaperTopology(const PaperTopologyConfig& cfg)
   mh_cfg.request_buffers = cfg.request_buffers;
   mh_cfg.anticipate = cfg.anticipate;
   mh_cfg.simultaneous_binding = cfg.simultaneous_binding;
-  mh_cfg.auth_key = cfg.auth_key;
   mh_cfg.start_time_offset = cfg.start_time_offset;
   mh_cfg.watchdog = cfg.watchdog;
   mh_cfg.rtx = cfg.rtx;

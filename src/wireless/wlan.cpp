@@ -11,6 +11,9 @@
 namespace fhmip {
 namespace {
 
+// Router advertisement period per access point (§4.1: one per second).
+constexpr SimTime kRaInterval = SimTime::seconds(1);
+
 // Spatial-hash cell key. Coordinates are truncated to 32 bits; two cells
 // collide only when their indices differ by 2^32 cells — unreachable for
 // any physical field.
@@ -131,7 +134,7 @@ void WlanManager::start() {
     for (auto& ap : aps_) {
       // Stagger advertisement phases so ARs don't beacon in lockstep.
       const SimTime phase =
-          SimTime::from_seconds(sim_.rng().uniform(0.0, cfg_.ra_interval.sec()));
+          SimTime::from_seconds(sim_.rng().uniform(0.0, kRaInterval.sec()));
       AccessPoint* a = ap.get();
       ra_evs_[a->id()] = sim_.in(phase, [this, a] { send_router_adv(*a); });
     }
@@ -463,7 +466,7 @@ void WlanManager::send_router_adv(AccessPoint& ap) {
       radio(ap, mh).down->transmit(std::move(p));
     }
   }
-  ra_evs_[ap.id()] = sim_.in(cfg_.ra_interval, [this, &ap] { send_router_adv(ap); });
+  ra_evs_[ap.id()] = sim_.in(kRaInterval, [this, &ap] { send_router_adv(ap); });
 }
 
 void WlanManager::set_attached(MhId mh, MhRecord& rec, NodeId new_ap) {

@@ -54,7 +54,6 @@ struct WlanConfig {
   double bandwidth_bps = 11e6;
   SimTime delay = SimTime::millis(1);
   std::size_t queue_limit = 200;
-  SimTime ra_interval = SimTime::seconds(1);  // §4.1: one per second
   bool send_router_adv = true;
 };
 

@@ -1,9 +1,7 @@
 #include <gtest/gtest.h>
 
-#include "fastho/auth.hpp"
 #include "scenario/paper_topology.hpp"
 #include "transport/cbr.hpp"
-#include "transport/diffserv.hpp"
 #include "transport/sink.hpp"
 
 namespace fhmip {
@@ -11,10 +9,7 @@ namespace {
 
 using namespace timeliterals;
 
-constexpr std::uint64_t kKey = 0xFEEDBEEF;
-
-/// §5 future-work features: handover authentication, adaptive (precise)
-/// buffer allocation, and Diffserv edge marking.
+/// §5 future-work feature: adaptive (precise) buffer allocation.
 struct ExtensionsFixture : ::testing::Test {
   PaperTopologyConfig cfg;
   std::unique_ptr<PaperTopology> topo;
@@ -23,8 +18,7 @@ struct ExtensionsFixture : ::testing::Test {
 
   void build() { topo = std::make_unique<PaperTopology>(cfg); }
 
-  void add_flow(std::size_t mh, FlowId id, double kbps,
-                TrafficClass cls = TrafficClass::kHighPriority) {
+  void add_flow(std::size_t mh, FlowId id, double kbps) {
     auto& m = topo->mobile(mh);
     const auto port = static_cast<std::uint16_t>(7000 + id);
     sinks.push_back(std::make_unique<UdpSink>(*m.node, port));
@@ -33,7 +27,7 @@ struct ExtensionsFixture : ::testing::Test {
     c.dst_port = port;
     c.packet_bytes = 160;
     c.interval = CbrSource::interval_for_rate(kbps, 160);
-    c.tclass = cls;
+    c.tclass = TrafficClass::kHighPriority;
     c.flow = id;
     sources.push_back(std::make_unique<CbrSource>(
         topo->cn(), static_cast<std::uint16_t>(5000 + id), c));
@@ -47,77 +41,6 @@ struct ExtensionsFixture : ::testing::Test {
   }
 };
 
-// ---------------------------------------------------------------------------
-// Authentication
-// ---------------------------------------------------------------------------
-
-TEST(HandoverAuth, TokenIsKeyAndHostSpecific) {
-  const auto t = HandoverAuthenticator::token(7, kKey);
-  EXPECT_NE(t, HandoverAuthenticator::token(8, kKey));
-  EXPECT_NE(t, HandoverAuthenticator::token(7, kKey + 1));
-  EXPECT_EQ(t, HandoverAuthenticator::token(7, kKey));
-}
-
-TEST(HandoverAuth, VerifierSemantics) {
-  HandoverAuthenticator a;
-  EXPECT_TRUE(a.verify(1, 0));  // not required -> everything passes
-  a.set_required(true);
-  EXPECT_FALSE(a.verify(1, 123));  // unknown host
-  a.register_key(1, kKey);
-  EXPECT_TRUE(a.verify(1, HandoverAuthenticator::token(1, kKey)));
-  EXPECT_FALSE(a.verify(1, HandoverAuthenticator::token(1, kKey + 1)));
-  a.revoke(1);
-  EXPECT_FALSE(a.verify(1, HandoverAuthenticator::token(1, kKey)));
-  EXPECT_EQ(a.accepted(), 2u);
-  EXPECT_EQ(a.rejected(), 3u);
-}
-
-TEST_F(ExtensionsFixture, AuthenticatedHandoverGetsFullService) {
-  cfg.auth_key = kKey;
-  build();
-  topo->nar_agent().auth().set_required(true);
-  topo->nar_agent().auth().register_key(topo->mobile(0).node->id(), kKey);
-  add_flow(0, 1, 128);
-  run_all();
-  EXPECT_EQ(topo->nar_agent().auth().rejected(), 0u);
-  EXPECT_EQ(topo->simulation().stats().flow(1).dropped, 0u);
-  EXPECT_TRUE(topo->mobile(0).agent->last_grant().nar_ok);
-}
-
-TEST_F(ExtensionsFixture, UnauthenticatedHandoverIsRefusedButRecovers) {
-  cfg.auth_key = 0;  // the MH presents no token
-  build();
-  topo->nar_agent().auth().set_required(true);
-  add_flow(0, 1, 128);
-  run_all();
-  const auto& mh = *topo->mobile(0).agent;
-  EXPECT_GE(topo->nar_agent().auth().rejected(), 1u);
-  EXPECT_FALSE(mh.last_grant().nar_ok);
-  EXPECT_FALSE(mh.last_grant().par_ok);
-  const FlowCounters& c = topo->simulation().stats().flow(1);
-  // No Fast Handover assistance: the blackout's packets are lost...
-  EXPECT_GE(c.dropped, 15u);
-  // ...but the host re-registers after attaching and traffic resumes.
-  EXPECT_EQ(c.sent, c.delivered + c.dropped);
-  EXPECT_GT(c.delivered, 1200u);
-  EXPECT_EQ(topo->nar_agent().buffers().leased(), 0u);
-}
-
-TEST_F(ExtensionsFixture, WrongKeyIsRefused) {
-  cfg.auth_key = kKey + 1;
-  build();
-  topo->nar_agent().auth().set_required(true);
-  topo->nar_agent().auth().register_key(topo->mobile(0).node->id(), kKey);
-  add_flow(0, 1, 128);
-  run_all();
-  EXPECT_GE(topo->nar_agent().auth().rejected(), 1u);
-  EXPECT_FALSE(topo->mobile(0).agent->last_grant().nar_ok);
-}
-
-// ---------------------------------------------------------------------------
-// Adaptive (precise) allocation
-// ---------------------------------------------------------------------------
-
 TEST_F(ExtensionsFixture, AdaptiveRequestShrinksToObservedRate) {
   cfg.scheme.adaptive_request = true;
   cfg.scheme.pool_pkts = 40;
@@ -128,7 +51,7 @@ TEST_F(ExtensionsFixture, AdaptiveRequestShrinksToObservedRate) {
   const BufferGrant& g = topo->mobile(0).agent->last_grant();
   EXPECT_TRUE(g.nar_ok);
   EXPECT_LT(g.nar_pkts, 15u);  // far below the blanket request
-  EXPECT_GE(g.nar_pkts, cfg.scheme.min_request_pkts);
+  EXPECT_GE(g.nar_pkts, 4u);  // the adaptive estimate's floor
   EXPECT_EQ(topo->simulation().stats().flow(1).dropped, 0u);
 }
 
@@ -164,86 +87,6 @@ TEST_F(ExtensionsFixture, RateEstimatorVisibleAtAgent) {
   topo->simulation().run_until(8_s);
   EXPECT_NEAR(topo->par_agent().estimated_pps(topo->mobile(0).node->id()),
               100.0, 15.0);
-}
-
-// ---------------------------------------------------------------------------
-// Diffserv edge marking
-// ---------------------------------------------------------------------------
-
-TEST_F(ExtensionsFixture, EdgeMarkerClassifiesUnmarkedTraffic) {
-  build();
-  // Traffic leaves the CN unmarked; the gateway marks by destination port.
-  DiffservMarker marker(topo->network().node(1));  // gw
-  marker.add_rule(7001, DiffservPhb::kExpeditedForwarding);
-  marker.add_rule(7002, DiffservPhb::kAssuredForwarding);
-  add_flow(0, 1, 128, TrafficClass::kUnspecified);  // port 7001
-  add_flow(0, 2, 128, TrafficClass::kUnspecified);  // port 7002
-  add_flow(0, 3, 128, TrafficClass::kUnspecified);  // port 7003, unmatched
-
-  // Observe the classes arriving at the MH.
-  TrafficClass seen[4] = {};
-  auto& m = topo->mobile(0);
-  for (FlowId f = 1; f <= 3; ++f) {
-    const auto port = static_cast<std::uint16_t>(7000 + f);
-    m.node->register_port(port, [&seen, f](PacketPtr p) {
-      seen[f] = p->tclass;
-    });
-  }
-  run_all();
-  EXPECT_EQ(seen[1], TrafficClass::kRealTime);
-  EXPECT_EQ(seen[2], TrafficClass::kHighPriority);
-  EXPECT_EQ(seen[3], TrafficClass::kUnspecified);
-  EXPECT_GT(marker.packets_marked(), 0u);
-}
-
-TEST_F(ExtensionsFixture, MarkedTrafficGetsClassTreatmentInHandoff) {
-  // The handoff policy must act on the marks applied upstream: a marked
-  // high-priority flow survives a tight buffer that drops the others.
-  cfg.scheme.pool_pkts = 15;
-  cfg.scheme.request_pkts = 15;
-  build();
-  DiffservMarker marker(topo->network().node(1));
-  marker.add_rule(7001, DiffservPhb::kExpeditedForwarding);   // F1 -> RT
-  marker.add_rule(7002, DiffservPhb::kAssuredForwarding);     // F2 -> HP
-  // F3 stays unspecified -> best effort.
-  add_flow(0, 1, 128, TrafficClass::kUnspecified);
-  add_flow(0, 2, 128, TrafficClass::kUnspecified);
-  add_flow(0, 3, 128, TrafficClass::kUnspecified);
-  run_all();
-  auto& st = topo->simulation().stats();
-  EXPECT_LE(st.flow(2).dropped, st.flow(1).dropped);
-  EXPECT_LE(st.flow(2).dropped, st.flow(3).dropped);
-}
-
-TEST(DiffservMarker, DefaultPhbAndControlExemption) {
-  Simulation sim;
-  Network net(sim);
-  Node& a = net.add_node("a");
-  Node& b = net.add_node("b");
-  a.add_address({1, 1});
-  b.add_address({2, 1});
-  net.connect(a, b, 1e9, SimTime::millis(1));
-  net.compute_routes();
-  DiffservMarker marker(a);
-  marker.set_default_phb(DiffservPhb::kAssuredForwarding);
-
-  TrafficClass seen = TrafficClass::kUnspecified;
-  b.register_port(7, [&](PacketPtr p) { seen = p->tclass; });
-  auto p = make_packet(sim, {1, 1}, {2, 1}, 100);
-  p->dst_port = 7;
-  a.send(std::move(p));
-  // Control messages pass unmarked.
-  bool control_seen = false;
-  b.add_control_handler([&](PacketPtr& cp) {
-    control_seen = true;
-    EXPECT_EQ(cp->tclass, TrafficClass::kUnspecified);
-    return true;
-  });
-  a.send(make_control(sim, {1, 1}, {2, 1}, BfMsg{}));
-  sim.run();
-  EXPECT_EQ(seen, TrafficClass::kHighPriority);
-  EXPECT_TRUE(control_seen);
-  EXPECT_EQ(marker.packets_marked(), 1u);
 }
 
 }  // namespace

@@ -198,6 +198,37 @@ TEST_F(RobustnessFixture, RetransmittedHiDoesNotDoubleAllocate) {
   EXPECT_EQ(topo->nar_agent().buffers().leased(), 0u);
 }
 
+TEST_F(RobustnessFixture, HiExhaustionReportsAnEmptyGrant) {
+  // Every HI (first copy and all retries) dies on the PAR->NAR link. The
+  // PAR gives up after its retry cap and advertises an empty grant: no
+  // lease is left at either router, the host hands off reactively, and
+  // only the blackout's packets are lost.
+  build();
+  Simulation& sim = topo->simulation();
+  fault::LinkFaultInjector inj(sim, topo->par_nar_link().a_to_b());
+  inj.drop_matching(fault::message_named("HI"));
+  sim.run_until(20_s);
+  const auto& par = topo->par_agent().counters();
+  EXPECT_EQ(par.hi_sent, 1u);
+  EXPECT_EQ(par.hi_rtx, 4u);
+  EXPECT_EQ(par.hi_exhausted, 1u);
+  EXPECT_EQ(topo->nar_agent().counters().hi_received, 0u);
+  const BufferGrant& g = topo->mobile(0).agent->last_grant();
+  EXPECT_FALSE(g.nar_ok);
+  EXPECT_FALSE(g.par_ok);
+  const FlowCounters& c = sim.stats().flow(1);
+  EXPECT_EQ(c.sent, 1400u);
+  EXPECT_EQ(c.delivered, 1380u);
+  EXPECT_EQ(c.dropped, 20u);
+  EXPECT_EQ(c.drops_by_reason[static_cast<int>(DropReason::kUnattached)], 10u);
+  EXPECT_EQ(topo->par_agent().buffers().leased(), 0u);
+  EXPECT_EQ(topo->nar_agent().buffers().leased(), 0u);
+  const auto& history = topo->outcomes().history();
+  ASSERT_EQ(history.size(), 1u);
+  EXPECT_EQ(history[0].outcome, HandoverOutcome::kReactive);
+  EXPECT_EQ(history[0].cause, HandoverCause::kNoFback);
+}
+
 TEST_F(RobustnessFixture, LossyInterArLinkDegradesGracefully) {
   // 30% loss on the inter-AR link randomly kills HI/HAck/BF messages and
   // tunneled data: handovers degrade (lost grants, lost drains) but the

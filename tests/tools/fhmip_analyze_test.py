@@ -200,11 +200,38 @@ class TestCallGraphRules(FixtureRoot):
         self.assert_findings("CONC-01", p, [11], [19], extra=ROOTS)
 
     def test_proto01_send_guard_pairing(self):
-        # BareSender sends an unguarded request (active); GuardedSender's
-        # class arms a timer (silent); Responder only names the type as a
-        # template argument (exempt); JustifiedSender is NOLINTed.
+        # BareSender sends an unguarded request (active), and so does
+        # SiblingGuardedSender, whose timer is armed only by another method
+        # of its class (active); GuardedSender arms in the sending function
+        # and CalleeGuardedSender in a function it calls (both silent);
+        # Responder only names the type as a template argument (exempt);
+        # JustifiedSender is NOLINTed.
         p = self.stage("proto01.hpp", "fastho/proto01.hpp")
-        self.assert_findings("PROTO-01", p, [26], [66], extra=ROOTS)
+        self.assert_findings("PROTO-01", p, [26, 39], [96], extra=ROOTS)
+
+    def test_proto01_anchors_at_the_send_after_construction(self):
+        # A function that first answers with an exempt ack and then builds
+        # and sends a request is reported at the request's send, so the
+        # suppression sits next to the send it excuses.
+        p = "src/fastho/proto01_anchor.hpp"
+        (self.root / "src" / "fastho").mkdir(parents=True, exist_ok=True)
+        (self.root / p).write_text(
+            "struct FbuMsg { int id = 0; };\n"
+            "struct AckMsg { int id = 0; };\n"
+            "struct Sock { void send(const FbuMsg&) {} "
+            "void send(const AckMsg&) {} };\n"
+            "class Relay {\n"
+            " public:\n"
+            "  void on_msg() {\n"
+            "    sock_.send(ack_);\n"
+            "    FbuMsg m;\n"
+            "    sock_.send(m);\n"
+            "  }\n"
+            " private:\n"
+            "  Sock sock_;\n"
+            "  AckMsg ack_;\n"
+            "};\n")
+        self.assert_findings("PROTO-01", p, [9], [], extra=ROOTS)
 
 
 class TestDataflowRules(FixtureRoot):

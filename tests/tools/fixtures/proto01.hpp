@@ -30,14 +30,44 @@ class BareSender {
   Sock sock_;
 };
 
-// Same send, but a sibling method arms the retransmission timer: silent.
-class GuardedSender {
+// Same send, and a sibling method arms a timer — but not for this send:
+// active.
+class SiblingGuardedSender {
  public:
   void kick() {
     FbuMsg m;
     sock_.send(m);
   }
   void on_timeout() { arm(); }
+  void arm() {}
+
+ private:
+  Sock sock_;
+};
+
+// The sending function arms the timer itself: silent.
+class GuardedSender {
+ public:
+  void kick() {
+    FbuMsg m;
+    sock_.send(m);
+    arm();
+  }
+  void arm() {}
+
+ private:
+  Sock sock_;
+};
+
+// The sending function calls a function that arms the timer: silent.
+class CalleeGuardedSender {
+ public:
+  void kick() {
+    FbuMsg m;
+    sock_.send(m);
+    start_retry();
+  }
+  void start_retry() { arm(); }
   void arm() {}
 
  private:

@@ -15,11 +15,12 @@ configured by a section of tools/analyze/roots.toml:
            also covers configs the tsan preset never executes.
   PROTO-01 a send/guard pairing rule: a function in src/fastho or
            src/mip that constructs one of the reliable request message
-           types and hands it to a send-family call must live in a class
-           with a retransmission-timer guard (the MhAgent arm()/
-           *_timeout() idiom); response/ack types are exempt because the
-           requester's retransmission re-elicits them (PR 2's idempotent
-           receivers).
+           types and hands it to a send-family call must itself arm a
+           retransmission timer, or call a function that does (the
+           MhAgent arm()/*_timeout() idiom); a timer elsewhere in the
+           class guards some other send, not this one. Response/ack types
+           are exempt because the requester's retransmission re-elicits
+           them (the idempotent receivers).
 
 Every finding carries its reachability path (root -> ... -> function),
 rendered in text output and as a SARIF codeFlow. A root name in
@@ -238,14 +239,23 @@ def check_conc01(ctx, program):
 
 # -- PROTO-01 ----------------------------------------------------------------
 
+def _fn_has_guard(node, guard_tokens):
+    fn = node.fn
+    toks = fn.file.lexed.tokens
+    return any(toks[i].kind == ID and toks[i].text in guard_tokens
+               for i in range(fn.scope.body_start, fn.scope.body_end))
+
+
 def _class_has_guard(program, cls, guard_tokens):
-    for m in program.class_methods.get(cls, []):
-        fn = m.fn
-        toks = fn.file.lexed.tokens
-        for i in range(fn.scope.body_start, fn.scope.body_end):
-            if toks[i].kind == ID and toks[i].text in guard_tokens:
-                return True
-    return False
+    return any(_fn_has_guard(m, guard_tokens)
+               for m in program.class_methods.get(cls, []))
+
+
+def _send_is_guarded(program, node, guard_tokens):
+    """The sending function arms a retransmission timer itself or calls a
+    function that does."""
+    return _fn_has_guard(node, guard_tokens) or any(
+        _fn_has_guard(program.nodes[t], guard_tokens) for t in node.targets)
 
 
 def check_proto01(ctx, program):
@@ -258,7 +268,6 @@ def check_proto01(ctx, program):
     guard_tokens = set(cfg.get("guard_tokens", ["arm"]))
     if not dirs or not guarded:
         return
-    guard_cache: dict[str, bool] = {}
     for node in program.nodes:
         if not node.path.startswith(dirs):
             continue
@@ -270,32 +279,29 @@ def check_proto01(ctx, program):
         # argument (std::get_if<Msg>, holds_alternative<Msg>) is how a
         # *responder* inspects an incoming message — responders are exempt
         # because the requester's retransmission re-elicits the reply.
-        constructed = set()
+        constructed: dict[str, int] = {}  # message -> first construction line
         for i in range(lo, hi):
             t = toks[i]
             if t.kind != ID or t.text not in guarded:
                 continue
             nxt = toks[i + 1] if i + 1 < hi else None
             if nxt is not None and (nxt.kind == ID or nxt.text == "{"):
-                constructed.add(t.text)
-        msgs = sorted(constructed)
-        if not msgs:
+                constructed.setdefault(t.text, t.line)
+        if not constructed:
             continue
         send_sites = [s for s in node.sites if s.name in send_calls]
         if not send_sites:
             continue
-        cls = node.cls
-        if cls not in guard_cache:
-            guard_cache[cls] = bool(cls) and _class_has_guard(
-                program, cls, guard_tokens)
-        if guard_cache[cls]:
+        if _send_is_guarded(program, node, guard_tokens):
             continue
-        anchor = send_sites[0].line
-        where = f"class {cls}" if cls else "the enclosing scope"
-        for m in msgs:
+        for m, made in sorted(constructed.items()):
+            # Anchor at the first send after the message is built, so a
+            # suppression sits next to the send it excuses.
+            anchor = next((s.line for s in send_sites if s.line >= made),
+                          send_sites[0].line)
             yield _mk(ctx, "PROTO-01", "error", node.path, anchor,
-                      f"{node.qual} sends {m} but {where} has no "
-                      f"retransmission-timer guard "
+                      f"{node.qual} sends {m} but neither it nor a function "
+                      f"it calls arms a retransmission timer "
                       f"({'/'.join(sorted(guard_tokens))}) — a lost "
                       f"message stalls the handover choreography",
                       [node.qual])
@@ -311,6 +317,6 @@ def register(registry):
                       "SweepRunner per-run closures",
                       check_program=check_conc01))
     registry.add(Rule("PROTO-01", "error",
-                      "control-message send without a retransmission-timer "
-                      "guard in its class",
+                      "control-message send whose function arms no "
+                      "retransmission timer, directly or in a callee",
                       check_program=check_proto01))

@@ -86,7 +86,6 @@ def _lambda_in_span(fn, lo, hi):
 _HANDLER_PAIRS = {
     "add_control_handler": "remove_control_handler",
     "register_port": "unregister_port",
-    "set_forward_filter": "set_forward_filter",
 }
 _TIMER_CALLS = {"in", "at", "schedule_in", "schedule_at"}
 
