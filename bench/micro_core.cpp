@@ -64,12 +64,17 @@ struct HoldModel {
   std::uint64_t x = 0x9E3779B97F4A7C15ull;  // xorshift64 state
 };
 
-void hold(HoldModel& m) {
+std::uint64_t next_draw(HoldModel& m) {
   m.x ^= m.x << 13;
   m.x ^= m.x >> 7;
   m.x ^= m.x << 17;
-  m.s.schedule_in(SimTime::nanos(static_cast<std::int64_t>(m.x % 1'000'000)),
-                  [&m] { hold(m); });
+  return m.x;
+}
+
+void hold(HoldModel& m) {
+  m.s.schedule_in(
+      SimTime::nanos(static_cast<std::int64_t>(next_draw(m) % 1'000'000)),
+      [&m] { hold(m); });
 }
 
 void BM_SchedulerHold(benchmark::State& state) {
@@ -79,6 +84,64 @@ void BM_SchedulerHold(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_SchedulerHold)->Arg(1000)->Arg(4000);
+
+// The hold model again, with the live-cell mix sampled every 100 k events
+// on city_traffic (seed 1) instead of BM_SchedulerHold's sub-millisecond
+// delays: 28% far timers at 10-20 s (end-of-run stops), 28% CBR emits at
+// 20 ms +- 1 ms, 14% link heads at 2-5 ms, and 30% protocol timers at
+// 0.5-10 s (context lifetimes, watchdogs, reapers). Each cell keeps its
+// class when it re-schedules, so links and emits run most of the events
+// while the far cells sit in the queue, as in the city.
+
+SimTime city_delay(HoldModel& m, int cls) {
+  const auto r = static_cast<std::int64_t>(next_draw(m) % 1'000'000);
+  switch (cls) {
+    case 0: return SimTime::seconds(10) + SimTime::micros(10 * r);
+    case 1: return SimTime::millis(19) + SimTime::nanos(2 * r);
+    case 2: return SimTime::millis(2) + SimTime::nanos(3 * r);
+    default: return SimTime::millis(500) + SimTime::micros(9 * r + r / 2);
+  }
+}
+
+void city_hold(HoldModel& m, int cls) {
+  m.s.schedule_in(city_delay(m, cls), [&m, cls] { city_hold(m, cls); });
+}
+
+void BM_SchedulerCityMix(benchmark::State& state) {
+  HoldModel m;
+  const std::int64_t n = state.range(0);
+  for (std::int64_t i = 0; i < n; ++i) {
+    const std::int64_t pct = i * 100 / n;
+    city_hold(m, pct < 28 ? 0 : pct < 56 ? 1 : pct < 70 ? 2 : 3);
+  }
+  for (auto _ : state) m.s.step();
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_SchedulerCityMix)->Arg(3565);
+
+// The owner-armed path: N timers, each re-arming itself 20 ms +- 1 ms on
+// from inside its own callback, as the CBR sources' emit chains do (1000
+// of them on city_traffic). No slot and no std::function per event.
+struct Rearmer {
+  HoldModel* m;
+  Timer timer;
+
+  explicit Rearmer(HoldModel& model)
+      : m(&model), timer(Timer::of<&Rearmer::fire>(model.s, this)) {}
+  void fire() { timer.arm_in(city_delay(*m, 1)); }
+};
+
+void BM_TimerRearm(benchmark::State& state) {
+  HoldModel m;
+  std::vector<std::unique_ptr<Rearmer>> timers;
+  for (std::int64_t i = 0; i < state.range(0); ++i) {
+    timers.push_back(std::make_unique<Rearmer>(m));
+    timers.back()->fire();
+  }
+  for (auto _ : state) m.s.step();
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_TimerRearm)->Arg(1000);
 
 void BM_DropTailQueuePushPop(benchmark::State& state) {
   Simulation sim;

@@ -27,7 +27,10 @@ SimplexLink::SimplexLink(Simulation& sim, Node& to, double bandwidth_bps,
       bandwidth_(bandwidth_bps),
       delay_(delay),
       queue_(make_queue(discipline, queue_limit)),
-      name_(std::move(name)) {
+      name_(std::move(name)),
+      deliver_(Timer::of<&SimplexLink::deliver_front>(sim.scheduler(),
+                                                      this)),
+      drain_(Timer::of<&SimplexLink::drain>(sim.scheduler(), this)) {
   if (!name_.empty()) {
     obs::MetricsRegistry& m = sim_.metrics();
     m_delivered_ = &m.counter("link/" + name_ + "/delivered_pkts");
@@ -87,7 +90,7 @@ void SimplexLink::transmit(PacketPtr p) {
   }
   // A drain is armed exactly while the queue is non-empty; a packet handed
   // over then queues behind it, even at the instant the transmitter frees.
-  if (sim_.now() < busy_until_ || drain_ != kInvalidEvent) {
+  if (sim_.now() < busy_until_ || drain_.armed()) {
     if (queue_push(p)) {
       if (m_queue_ != nullptr) m_queue_->add(1);
       arm_drain();
@@ -109,24 +112,24 @@ void SimplexLink::start_tx(PacketPtr p) {
   // delivered even if the link goes down before serialization ends (ns-2
   // semantics: link-down affects packets that have not started
   // transmission, not ones already in flight). It joins the in-flight FIFO
-  // at once, and its one event is the delivery. Packets still in the link
-  // when the simulation ends are reclaimed by ~SimplexLink.
+  // at once, and its one event is the delivery, ordered here: the sequence
+  // number it reserves now is the one a delivery scheduled now would get.
+  // The link owns both the packet and the timer that delivers it, so
+  // neither outlives the link: the timer disarms itself with the link, and
+  // ~SimplexLink reclaims the packets still in flight.
+  p->fly_at = busy_until_ + delay_;
+  p->fly_seq = sim_.scheduler().reserve_seq();
+  const bool idle = fly_head_ == nullptr;
   fly_append(std::move(p));
-  // A bare `this` capture fits std::function's inline storage (no
-  // allocation), and links outlive the event loop: topologies hold their
-  // links for the whole Simulation::run(), and unfired events are
-  // destroyed, never invoked. NOLINT-FHMIP(PERF-01,LIFE-01)
-  sim_.at(busy_until_ + delay_, [this] { deliver_front(); });  // NOLINT-FHMIP(PERF-01,LIFE-01)
+  if (idle) deliver_.arm_at(fly_head_->fly_at, fly_head_->fly_seq);
 }
 
 void SimplexLink::arm_drain() {
-  if (drain_ != kInvalidEvent) return;
-  // Same SBO/lifetime argument as start_tx; ~SimplexLink cancels it.
-  drain_ = sim_.at(busy_until_, [this] { drain(); });  // NOLINT-FHMIP(PERF-01,LIFE-01)
+  if (drain_.armed()) return;
+  drain_.arm_at(busy_until_, sim_.scheduler().reserve_seq());
 }
 
 void SimplexLink::drain() {
-  drain_ = kInvalidEvent;
   PacketPtr next = queue_pop();
   FHMIP_AUDIT_MSG("net", next != nullptr,
                   "link " + name_ + ": drain event with empty queue");
@@ -139,6 +142,9 @@ void SimplexLink::deliver_front() {
   FHMIP_AUDIT_MSG("net", fly_head_ != nullptr,
                   "link " + name_ + ": delivery event with empty fly queue");
   PacketPtr pkt = fly_detach_head();
+  if (fly_head_ != nullptr) {
+    deliver_.arm_at(fly_head_->fly_at, fly_head_->fly_seq);
+  }
   ++delivered_;
   bytes_delivered_ += pkt->size_bytes;
   if (m_delivered_ != nullptr) {
@@ -153,9 +159,8 @@ void SimplexLink::deliver_front() {
 }
 
 SimplexLink::~SimplexLink() {
-  sim_.cancel(drain_);
   // Packets still serializing or propagating when the topology is torn
-  // down (simulation ended mid-flight).
+  // down (simulation ended mid-flight); both timers disarm themselves.
   while (fly_head_ != nullptr) fly_detach_head();
 }
 
@@ -170,8 +175,7 @@ void SimplexLink::set_up(bool up) {
   if (!up_) {
     // Everything queued dies with the link, and so does its drain.
     drop_queued();
-    sim_.cancel(drain_);
-    drain_ = kInvalidEvent;
+    drain_.disarm();
   }
   FHMIP_AUDIT_MSG("net", up_ || queue_size() == 0,
                   "link " + name_ + ": queue survived link-down");

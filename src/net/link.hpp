@@ -24,6 +24,8 @@ enum class QueueDiscipline { kDropTail, kClassPriority };
 /// The transmitter is lazy: it keeps the time serialization ends instead of
 /// scheduling an event for it. A hop costs one event, its delivery; while
 /// packets queue, one `drain` event starts each when the transmitter frees.
+/// Both run on link-owned Timers: the delivery timer is armed for the head
+/// of the in-flight FIFO, so a packet in flight holds no scheduler slot.
 ///
 /// Wireless behaviour: when `set_up(false)` (MH out of range / L2 handoff
 /// blackout), packets attempted or in flight are dropped with
@@ -113,15 +115,17 @@ class SimplexLink {
   obs::Counter* m_bytes_ = nullptr;      // link/<name>/bytes
   obs::Gauge* m_queue_ = nullptr;        // link/<name>/queue_pkts
   // The intrusive FIFO of packets that started serializing and are on
-  // their way to `to_`. Chained through Packet::pool_next: the delivery
-  // events are plain `[this]` lambdas (no per-packet heap holder), and the
-  // link — not the scheduler — owns packets in flight. Propagation delay is
-  // constant per link and serialize-end times are monotonic, so deliveries
-  // fire in FIFO order and deliver_front() always matches its event.
+  // their way to `to_`, chained through Packet::pool_next; the link owns
+  // packets in flight. Propagation delay is constant per link and
+  // serialize-end times are monotonic, so deliveries fall due in FIFO
+  // order: `deliver_` is armed exactly while the FIFO is non-empty, at the
+  // head's (fly_at, fly_seq), and re-armed for the next head as each packet
+  // is delivered.
   Packet* fly_head_ = nullptr;
   Packet* fly_tail_ = nullptr;
-  SimTime busy_until_;                // when the transmitter frees up
-  EventId drain_ = kInvalidEvent;     // armed while the queue is non-empty
+  Timer deliver_;
+  SimTime busy_until_;  // when the transmitter frees up
+  Timer drain_;         // armed while the queue is non-empty
   bool up_ = true;
   double loss_rate_ = 0.0;
   TxFilter tx_filter_;

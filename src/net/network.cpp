@@ -44,6 +44,9 @@ void Network::compute_routes() {
   }
 
   for (std::size_t src = 0; src < nodes_.size(); ++src) {
+    // A node with no wired edge (a mobile host) reaches nothing, so a run
+    // from it would install no route.
+    if (adj[src].empty()) continue;
     // Dijkstra from src; record the first-hop link used to reach each node.
     constexpr std::int64_t kInf = std::numeric_limits<std::int64_t>::max();
     std::vector<std::int64_t> dist(nodes_.size(), kInf);

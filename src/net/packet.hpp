@@ -165,6 +165,11 @@ struct Packet : PacketFields {
   /// queues (DropTailQueue / HandoffBuffer): a packet is on at most one of
   /// those chains at any time, and never while owned through a PacketPtr.
   Packet* pool_next = nullptr;
+  /// While the packet is on a link's in-flight FIFO: its delivery time and
+  /// the issue sequence number it reserved when it started serializing. The
+  /// link arms its one delivery timer from the FIFO head's pair.
+  SimTime fly_at;
+  std::uint64_t fly_seq = 0;
 };
 
 /// PacketPtr's deleter: pooled packets go back to their slab (slot recycled,

@@ -3,18 +3,21 @@
 namespace fhmip {
 
 CbrSource::CbrSource(Node& node, std::uint16_t src_port, Config cfg)
-    : udp_(node, src_port), cfg_(cfg) {}
+    : udp_(node, src_port),
+      cfg_(cfg),
+      emit_(Timer::of<&CbrSource::emit>(node.sim().scheduler(), this)) {}
 
 CbrSource::~CbrSource() {
   Simulation& sim = udp_.node().sim();
   sim.cancel(start_ev_);
   sim.cancel(stop_ev_);
-  sim.cancel(emit_ev_);
 }
 
 void CbrSource::start(SimTime at) {
   start_ev_ = udp_.node().sim().at(at, [this] {
     running_ = true;
+    // A restart before the old chain saw stop() re-phases that chain.
+    emit_.disarm();
     emit();
   });
 }
@@ -34,7 +37,7 @@ void CbrSource::emit() {
         sim.rng().uniform_int(-cfg_.jitter.ns(), cfg_.jitter.ns()));
     if (gap < SimTime::micros(1)) gap = SimTime::micros(1);
   }
-  emit_ev_ = sim.in(gap, [this] { emit(); });
+  emit_.arm_in(gap);
 }
 
 SimTime CbrSource::interval_for_rate(double kbps, std::uint32_t packet_bytes) {

@@ -9,7 +9,8 @@
 namespace fhmip {
 
 /// Constant-bit-rate source over UDP — the audio workload of §4.2
-/// ("160-byte UDP packets every 20 ms" = 64 kb/s).
+/// ("160-byte UDP packets every 20 ms" = 64 kb/s). Its emit chain runs on
+/// one source-owned Timer; the chain ends at the first emit after stop().
 class CbrSource {
  public:
   struct Config {
@@ -44,11 +45,12 @@ class CbrSource {
   Config cfg_;
   bool running_ = false;
   std::uint32_t next_seq_ = 0;
-  // Pending self-scheduled events; cancelled on destruction so the timer
-  // callbacks can never fire into a dead source.
+  // Pending self-scheduled events; cancelled on destruction so the
+  // callbacks can never fire into a dead source. The emit timer disarms
+  // itself.
   EventId start_ev_ = kInvalidEvent;
   EventId stop_ev_ = kInvalidEvent;
-  EventId emit_ev_ = kInvalidEvent;
+  Timer emit_;
 };
 
 }  // namespace fhmip

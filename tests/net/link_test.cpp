@@ -163,12 +163,28 @@ TEST_F(LinkFixture, DownDuringSerializationThenBackUpWaitsForTheTransmitter) {
 TEST_F(LinkFixture, DestroyingALinkCancelsItsArmedDrain) {
   {
     SimplexLink link(sim, b, 1e6, 5_ms, 10);
-    link.transmit(pkt(1000));  // delivery event
+    link.transmit(pkt(1000));  // arms the link's delivery timer
     link.transmit(pkt(1000));  // queued: arms the drain
     EXPECT_EQ(sim.scheduler().queue_size(), 2u);
   }
-  // Only the delivery is left; it is destroyed with `sim`, never run.
-  EXPECT_EQ(sim.scheduler().queue_size(), 1u);
+  // Both link timers, the delivery and the drain, went with the link.
+  EXPECT_EQ(sim.scheduler().queue_size(), 0u);
+}
+
+TEST_F(LinkFixture, DestroyingALinkWithPacketsInFlightRunsNothing) {
+  // The link owns its delivery timer: destroyed while it is armed, with a
+  // packet propagating and none queued, the link leaves no event behind.
+  capture(b);
+  {
+    SimplexLink link(sim, b, 1e6, 5_ms, 10);
+    link.transmit(pkt(1000));  // serializes over [0, 8) ms
+    sim.run_until(9_ms);       // in flight until 13 ms
+    EXPECT_EQ(sim.scheduler().queue_size(), 1u);
+  }
+  EXPECT_EQ(sim.scheduler().queue_size(), 0u);
+  EXPECT_EQ(sim.scheduler().run(), 0u);
+  EXPECT_TRUE(arrivals.empty());
+  sim.scheduler().audit_invariants();
 }
 
 TEST_F(LinkFixture, OneSchedulerEventPerHopWhenIdle) {

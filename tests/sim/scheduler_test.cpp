@@ -3,10 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <limits>
 #include <map>
+#include <optional>
 #include <random>
 #include <type_traits>
 #include <unordered_map>
@@ -265,8 +267,49 @@ TEST(Scheduler, ManyEventsStressOrdering) {
 // (time, issue order), with ids that are never reused. It shares the
 // Scheduler's API so one driver can run either.
 class ModelScheduler {
+  using Key = std::pair<std::int64_t, EventId>;
+
  public:
+  // An owner-armed timer: one map entry keyed by its (time, seq) while
+  // armed, erased when disarmed or destroyed.
+  class Timer {
+   public:
+    using Fire = void (*)(void* owner);
+
+    Timer(ModelScheduler& s, void* owner, Fire fire)
+        : s_(s), owner_(owner), fire_(fire) {}
+    Timer(const Timer&) = delete;
+    Timer& operator=(const Timer&) = delete;
+    ~Timer() { disarm(); }
+
+    void arm_at(SimTime t, std::uint64_t seq) {
+      if (t < s_.now_) t = s_.now_;
+      key_ = Key{t.ns(), seq};
+      armed_ = true;
+      s_.queue_.emplace(key_, [this] {
+        armed_ = false;
+        fire_(owner_);
+      });
+    }
+    void arm_in(SimTime delay) { arm_at(s_.now_ + delay, s_.reserve_seq()); }
+    void disarm() {
+      if (!armed_) return;
+      s_.queue_.erase(key_);
+      armed_ = false;
+    }
+    bool armed() const { return armed_; }
+
+   private:
+    ModelScheduler& s_;
+    void* owner_;
+    Fire fire_;
+    Key key_;
+    bool armed_ = false;
+  };
+
   SimTime now() const { return now_; }
+
+  std::uint64_t reserve_seq() { return next_id_++; }
 
   EventId schedule_at(SimTime t, std::function<void()> fn) {
     if (t < now_) t = now_;
@@ -304,8 +347,6 @@ class ModelScheduler {
   std::uint64_t events_executed() const { return executed_; }
 
  private:
-  using Key = std::pair<std::int64_t, EventId>;
-
   bool pop_run(std::int64_t limit_ns) {
     if (queue_.empty() || queue_.begin()->first.first > limit_ns) return false;
     const auto it = queue_.begin();
@@ -414,6 +455,230 @@ TEST(Scheduler, MatchesOrderedMapModelOnRandomPrograms) {
         << "seed " << seed << ": logs diverge at entry "
         << (diverge.first - real.begin()) << " of " << real.size();
   }
+}
+
+// The timer type each queue arms.
+template <class Q>
+struct TimerFor {
+  using type = typename Q::Timer;
+};
+template <>
+struct TimerFor<Scheduler> {
+  using type = Timer;
+};
+
+// A fixed-seed random program that adds owner-armed timers to the mix and
+// spreads times past the ring window (33.5 ms) and into the past. Its
+// run_until limits fall on arbitrary ns, so they stop inside loaded
+// buckets. Logged like Program above.
+template <class Q>
+struct MixedProgram;
+
+// Events capture the program, which owns the queue, like Program's above.
+template <class Q>
+void schedule(MixedProgram<Q>& p, SimTime t) {
+  const auto tag = static_cast<std::int64_t>(p.ids.size());
+  p.ids.push_back(p.q.schedule_at(t, [&p, tag] { p.on_event(tag); }));
+}
+
+template <class Q>
+struct MixedProgram {
+  using QTimer = typename TimerFor<Q>::type;
+
+  // A timer embedded in its owner, as a link or a CBR source holds one.
+  struct Owner {
+    MixedProgram* p = nullptr;
+    std::int64_t tag = 0;
+    std::optional<QTimer> timer;
+
+    static void fire(void* self) {
+      auto& o = *static_cast<Owner*>(self);
+      o.p->on_timer(o);
+    }
+    void rebuild() { timer.emplace(p->q, this, &Owner::fire); }
+  };
+
+  Q q;
+  std::mt19937_64 rng;
+  std::vector<EventId> ids;
+  std::vector<std::uint64_t> reserved;  // seqs taken and not yet armed
+  std::array<Owner, 4> owners;
+  std::vector<std::int64_t> log;
+
+  explicit MixedProgram(std::uint64_t seed) : rng(seed) {
+    for (std::size_t i = 0; i < owners.size(); ++i) {
+      owners[i].p = this;
+      owners[i].tag = -1 - static_cast<std::int64_t>(i);
+      owners[i].rebuild();
+    }
+  }
+
+  std::uint64_t draw(std::uint64_t n) { return rng() % n; }
+
+  // Past (clamped), within the ring window, past it by up to 100 ms, and
+  // seconds away, on a 100 us grid from now().
+  SimTime pick_time() {
+    const std::uint64_t r = draw(100);
+    if (r < 10) return q.now() - SimTime::micros(100 * (1 + draw(20)));
+    if (r < 60) return q.now() + SimTime::micros(100 * draw(300));
+    if (r < 90) return q.now() + SimTime::micros(100 * draw(1000));
+    return q.now() + SimTime::millis(static_cast<std::int64_t>(draw(3000)));
+  }
+
+  EventId pick_id() {
+    if (ids.empty() || draw(50) == 0) return kInvalidEvent;
+    return ids[draw(ids.size())];
+  }
+
+  // Arms an unarmed timer at a picked time with a fresh seq, or with one
+  // reserved earlier.
+  void arm(Owner& o) {
+    std::uint64_t seq;
+    if (!reserved.empty() && draw(2) == 0) {
+      seq = reserved.back();
+      reserved.pop_back();
+    } else {
+      seq = q.reserve_seq();
+    }
+    o.timer->arm_at(pick_time(), seq);
+  }
+
+  void on_event(std::int64_t tag) {
+    log.push_back(tag);
+    log.push_back(q.now().ns());
+    if (draw(4) == 0) schedule(*this, pick_time());
+    if (draw(8) == 0) schedule(*this, q.now());
+    if (draw(5) == 0) q.cancel(pick_id());
+    if (draw(6) == 0) {
+      Owner& o = owners[draw(owners.size())];
+      if (!o.timer->armed()) arm(o);
+    }
+  }
+
+  // Re-arms itself from inside its own callback half the time, and now and
+  // then drops another owner's timer while it is armed.
+  void on_timer(Owner& o) {
+    log.push_back(o.tag);
+    log.push_back(q.now().ns());
+    const std::uint64_t r = draw(8);
+    if (r < 2) {
+      o.timer->arm_in(SimTime::micros(100 * draw(400)));
+    } else if (r < 4) {
+      arm(o);
+    } else if (r == 4) {
+      Owner& other = owners[draw(owners.size())];
+      if (&other != &o) other.rebuild();
+    }
+    if (draw(6) == 0) schedule(*this, pick_time());
+  }
+
+  void step_log() {
+    log.push_back(q.now().ns());
+    log.push_back(static_cast<std::int64_t>(q.queue_size()));
+    log.push_back(static_cast<std::int64_t>(q.events_executed()));
+  }
+};
+
+template <class Q>
+std::vector<std::int64_t> run_mixed_program(std::uint64_t seed, int ops) {
+  MixedProgram<Q> p(seed);
+  for (int op = 0; op < ops; ++op) {
+    const std::uint64_t r = p.draw(100);
+    auto& o = p.owners[p.draw(p.owners.size())];
+    if (r < 25) {
+      schedule(p, p.pick_time());
+    } else if (r < 32) {
+      p.q.cancel(p.pick_id());
+    } else if (r < 36) {
+      p.log.push_back(p.q.pending(p.pick_id()));
+    } else if (r < 44) {
+      p.log.push_back(o.timer->armed());
+      if (!o.timer->armed()) p.arm(o);
+    } else if (r < 47) {
+      p.reserved.push_back(p.q.reserve_seq());
+    } else if (r < 50) {
+      // Drop while armed: destroy the timer (or just disarm it).
+      p.log.push_back(o.timer->armed());
+      if (p.draw(2) == 0) {
+        o.rebuild();
+      } else {
+        o.timer->disarm();
+      }
+    } else if (r < 68) {
+      p.log.push_back(p.q.step());
+    } else if (r < 76) {
+      p.log.push_back(static_cast<std::int64_t>(p.q.run(p.draw(6))));
+    } else if (r < 96) {
+      // Arbitrary ns, so the limit often lands inside a loaded bucket.
+      const SimTime t = p.q.now() + SimTime::nanos(static_cast<std::int64_t>(
+                                        p.draw(3'000'000)));
+      p.log.push_back(static_cast<std::int64_t>(p.q.run_until(t)));
+    } else {
+      // Far enough to slide the window over far cells and wrap the ring.
+      const SimTime t = p.q.now() + SimTime::millis(static_cast<std::int64_t>(
+                                        p.draw(300)));
+      p.log.push_back(static_cast<std::int64_t>(p.q.run_until(t)));
+    }
+    p.step_log();
+    // Every op: the level-2 sweep is what sees a cell filed at the wrong
+    // level or a heap left out of order by a removal.
+    if constexpr (std::is_same_v<Q, Scheduler>) p.q.audit_invariants();
+  }
+  p.log.push_back(static_cast<std::int64_t>(p.q.run()));
+  p.step_log();
+  return p.log;
+}
+
+TEST(Scheduler, MatchesOrderedMapModelWithTimersAndFarEvents) {
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u, 5u, 6u}) {
+    const auto real = run_mixed_program<Scheduler>(seed, 20'000);
+    const auto model = run_mixed_program<ModelScheduler>(seed, 20'000);
+    const auto diverge = std::mismatch(real.begin(), real.end(),
+                                       model.begin(), model.end());
+    EXPECT_TRUE(diverge.first == real.end() && diverge.second == model.end())
+        << "seed " << seed << ": logs diverge at entry "
+        << (diverge.first - real.begin()) << " of " << real.size();
+  }
+}
+
+TEST(Scheduler, TimerArmedWithAnEarlierSeqRunsFirstAtItsTime) {
+  Scheduler s;
+  std::vector<int> order;
+  struct Owner {
+    std::vector<int>* order;
+    void fire() { order->push_back(0); }
+  } owner{&order};
+  Timer t = Timer::of<&Owner::fire>(s, &owner);
+  const std::uint64_t seq = s.reserve_seq();
+  s.schedule_at(SimTime::millis(5), [&] { order.push_back(1); });
+  t.arm_at(SimTime::millis(5), seq);
+  EXPECT_TRUE(t.armed());
+  EXPECT_EQ(s.queue_size(), 2u);
+  s.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1}));
+  EXPECT_FALSE(t.armed());
+}
+
+TEST(Scheduler, DroppingAnArmedTimerLeavesNothingAtAnyLevel) {
+  Scheduler s;
+  int fired = 0;
+  struct Owner {
+    int* fired;
+    void fire() { ++*fired; }
+  } owner{&fired};
+  // Near heap (now), ring (10 ms) and far heap (5 s).
+  for (const SimTime at : {SimTime{}, SimTime::millis(10), SimTime::seconds(5)}) {
+    {
+      Timer t = Timer::of<&Owner::fire>(s, &owner);
+      t.arm_in(at);
+      EXPECT_EQ(s.queue_size(), 1u);
+      s.audit_invariants();
+    }
+    EXPECT_EQ(s.queue_size(), 0u);
+    s.audit_invariants();
+  }
+  EXPECT_EQ(s.run(), 0u);
+  EXPECT_EQ(fired, 0);
 }
 
 }  // namespace

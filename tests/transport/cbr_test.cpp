@@ -90,6 +90,26 @@ TEST_F(CbrFixture, StopNowHaltsImmediately) {
   EXPECT_LE(sink.packets_received(), got + 1);
 }
 
+TEST_F(CbrFixture, DestroyedWhileArmedRunsNothing) {
+  UdpSink sink(b, 7000);
+  {
+    CbrSource src(a, 5000, audio());
+    src.start(0_s);
+    src.stop(1_s);
+    // Emits at 0 and 20 ms; the second packet is on the 1 ms link and the
+    // next emit is armed for 40 ms.
+    sim.run_until(SimTime::micros(20'500));
+    EXPECT_EQ(src.packets_sent(), 2u);
+  }
+  // The emit timer went with the source and its stop event was cancelled;
+  // only the second packet's delivery (the link's timer) is left.
+  EXPECT_EQ(sim.scheduler().queue_size(), 1u);
+  EXPECT_EQ(sim.scheduler().run(), 1u);
+  EXPECT_EQ(sink.packets_received(), 2u);
+  EXPECT_EQ(sim.scheduler().queue_size(), 0u);
+  sim.scheduler().audit_invariants();
+}
+
 TEST_F(CbrFixture, JitterVariesGapsButPreservesMeanRate) {
   std::vector<SimTime> arrivals;
   UdpAgent rx(b, 7000);
