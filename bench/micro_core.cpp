@@ -1,7 +1,8 @@
 // Microbenchmarks of the hot core data structures (google-benchmark):
 // the event scheduler, drop-tail queue, handoff buffer, policy decision,
 // and the per-MH scaling hot paths flushed out by scale_population_sweep
-// (lease-reaper sweeps, the WLAN tick loop, waypoint position sampling).
+// (lease-reaper sweeps, the WLAN tick loop, waypoint position sampling,
+// routing-table and binding-cache lookups).
 
 #include <benchmark/benchmark.h>
 
@@ -11,9 +12,11 @@
 
 #include "buffer/buffer_manager.hpp"
 #include "buffer/policy.hpp"
+#include "mip/binding.hpp"
 #include "net/link.hpp"
 #include "net/node.hpp"
 #include "net/queue.hpp"
+#include "net/routing.hpp"
 #include "scenario/population.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/simulation.hpp"
@@ -255,6 +258,55 @@ void BM_PacketForward(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_PacketForward);
+
+void BM_RoutingLookup(benchmark::State& state) {
+  // A city router's table: a prefix route per subnet (~260 at N=5000), and
+  // with range(0) = 1 also 64 host routes as a NAR holds for the PCoAs of
+  // hosts handing over to it. Destinations cycle through every subnet.
+  constexpr std::uint32_t kNets = 260;
+  Simulation sim;
+  Node n{sim, 1, "r"};
+  SimplexLink link{sim, n, 1e8, SimTime::micros(10), 64};
+  RoutingTable t;
+  for (std::uint32_t net = 1; net <= kNets; ++net) {
+    t.set_prefix_route(net, Route::via(link));
+  }
+  if (state.range(0) != 0) {
+    for (std::uint32_t h = 0; h < 64; ++h) {
+      t.set_host_route({1 + h % kNets, 5000 + h}, Route::via(link));
+    }
+  }
+  std::vector<Address> dst;
+  for (std::uint32_t i = 0; i < 1024; ++i) {
+    dst.push_back({1 + (i * 37) % kNets, 300 + i});
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(t.lookup(dst[i]));
+    i = (i + 1) & 1023;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RoutingLookup)->Arg(0)->Arg(1);
+
+void BM_BindingCacheFind(benchmark::State& state) {
+  // A MAP's binding cache at the city's N=5000 point: one binding per host,
+  // looked up by regional address for every intercepted packet.
+  const auto n = static_cast<std::uint32_t>(state.range(0));
+  BindingCache cache;
+  const SimTime now = SimTime::seconds(1);
+  for (std::uint32_t h = 0; h < n; ++h) {
+    cache.update({7, 300 + h}, {1 + h % 256, 300 + h}, now,
+                 SimTime::seconds(60));
+  }
+  std::uint32_t h = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(cache.find({7, 300 + h}, now));
+    h = h + 1 == n ? 0 : h + 1;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_BindingCacheFind)->Arg(5000);
 
 void BM_TunnelEncapDecap(benchmark::State& state) {
   // MAP + inter-AR tunnel push/pop on a fresh packet each round, the way

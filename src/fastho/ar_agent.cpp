@@ -1,5 +1,7 @@
 #include "fastho/ar_agent.hpp"
 
+#include <algorithm>
+
 #include "net/link.hpp"
 #include "sim/check.hpp"
 
@@ -48,23 +50,42 @@ void ArAgent::fault_reset() {
   ++counters_.crashes;
   m_crashes_->inc();
   teardown_all(DropReason::kFaultInjected);
-  for (auto it = hosts_.begin(); it != hosts_.end();) {
-    Host& h = it->second;
+  for (std::size_t i = 0; i < hosts_.size();) {
+    Host& h = *hosts_[i].host;
     // Post-crash state must be indistinguishable from a freshly started
     // agent: no handover context of any kind survives.
     FHMIP_AUDIT("fastho", !h.par && !h.nar && !h.intra);
     h.rate = RateEstimator{};  // rate history is lost with the process
-    forget_if_idle(it++);
+    if (h.idle()) {
+      hosts_.erase(hosts_.begin() + static_cast<std::ptrdiff_t>(i));
+    } else {
+      ++i;
+    }
   }
 }
 
-const ArAgent::Host* ArAgent::find_host(MhId mh) const {
-  auto it = hosts_.find(mh);
-  return it == hosts_.end() ? nullptr : &it->second;
+ArAgent::HostTable::const_iterator ArAgent::slot_of(MhId mh) const {
+  return std::lower_bound(
+      hosts_.begin(), hosts_.end(), mh,
+      [](const HostSlot& s, MhId key) { return s.mh < key; });
 }
 
-void ArAgent::forget_if_idle(HostTable::iterator it) {
-  if (it->second.idle()) hosts_.erase(it);
+const ArAgent::Host* ArAgent::find_host(MhId mh) const {
+  const auto it = slot_of(mh);
+  return it == hosts_.end() || it->mh != mh ? nullptr : it->host.get();
+}
+
+ArAgent::Host& ArAgent::host(MhId mh) {
+  const auto it = slot_of(mh);
+  if (it != hosts_.end() && it->mh == mh) return *it->host;
+  return *hosts_.insert(it, HostSlot{mh, std::make_unique<Host>()})->host;
+}
+
+void ArAgent::forget_if_idle(MhId mh) {
+  const auto it = slot_of(mh);
+  if (it != hosts_.end() && it->mh == mh && it->host->idle()) {
+    hosts_.erase(it);
+  }
 }
 
 void ArAgent::send_control(Address dst, MessageVariant m, std::uint32_t bytes) {
@@ -190,7 +211,7 @@ void ArAgent::on_rtsolpr(const RtSolPrMsg& m, Address src) {
     adv.grant.par_pkts = ctx.grant;
     adv.seq = m.seq;
     ctx.adv = {adv, true};
-    std::unique_ptr<IntraContext>& intra = hosts_[m.mh].intra;
+    std::unique_ptr<IntraContext>& intra = host(m.mh).intra;
     intra = std::make_unique<IntraContext>(std::move(ctx));
     send_adv(intra->adv, pcoa);
     return;
@@ -247,7 +268,7 @@ void ArAgent::on_rtsolpr(const RtSolPrMsg& m, Address src) {
     ctx.hi_timer =
         sim.in(rtx_.timeout_for(0), [this, mh = m.mh] { hi_timeout(mh); });
   }
-  hosts_[m.mh].par = std::make_unique<ParContext>(std::move(ctx));
+  host(m.mh).par = std::make_unique<ParContext>(std::move(ctx));
   ++counters_.hi_sent;
   record(m.mh, obs::HoEventKind::kHiSent);
   send_control(nar, hi);
@@ -298,13 +319,13 @@ void ArAgent::on_hi(const HiMsg& m) {
     }
   }
   teardown(m.mh, ArRole::kNar);
-  Host& host = hosts_[m.mh];
+  Host& h = host(m.mh);
   NarContext ctx;
   ctx.mh = m.mh;
   ctx.pcoa = m.pcoa;
   ctx.par_addr = m.par_addr;
   ctx.hi_seq = m.seq;
-  ctx.mh_here = host.downlink != nullptr;
+  ctx.mh_here = h.downlink != nullptr;
   const SimTime life =
       (m.has_br && !m.br.lifetime.is_zero()) ? m.br.lifetime : cfg_.lifetime;
   if (m.has_br) {
@@ -333,7 +354,7 @@ void ArAgent::on_hi(const HiMsg& m) {
   hack.buffer_ok = ctx.grant > 0;
   hack.seq = m.seq;
   ctx.hack_msg = hack;
-  host.nar = std::make_unique<NarContext>(std::move(ctx));
+  h.nar = std::make_unique<NarContext>(std::move(ctx));
   ++counters_.hack_sent;
   send_control(m.par_addr, hack);
 }
@@ -477,7 +498,7 @@ void ArAgent::on_fbu(const FbuMsg& m) {
     ctx.lease_deadline = node_.sim().now() + cfg_.lifetime + cfg_.lease_grace;
     ctx.lifetime_timer = node_.sim().in(
         cfg_.lifetime, [this, mh = m.mh] { teardown(mh, ArRole::kPar); });
-    h = &hosts_[m.mh];
+    h = &host(m.mh);
     h->par = std::make_unique<ParContext>(std::move(ctx));
   } else if (!fresh(h->par->last_fbu_seq, m.seq)) {
     // Retransmission: the binding is already in place, just re-answer.
@@ -593,7 +614,7 @@ void ArAgent::on_bi(const BiMsg& m) {
   ba.mh = m.mh;
   ba.ok = ctx.grant > 0;
   ba.granted_pkts = ctx.grant;
-  hosts_[m.mh].intra = std::make_unique<IntraContext>(std::move(ctx));
+  host(m.mh).intra = std::make_unique<IntraContext>(std::move(ctx));
   node_.send(make_control(sim, address(), make_coa(prefix(), m.mh), ba));
 }
 
@@ -603,12 +624,12 @@ void ArAgent::on_bi(const BiMsg& m) {
 
 void ArAgent::handle_subnet_packet(PacketPtr p) {
   const MhId mh = p->dst.host;
-  auto it = hosts_.find(mh);
-  if (it == hosts_.end()) {
+  Host* found = find_host(mh);
+  if (found == nullptr) {
     drop(std::move(p), DropReason::kUnattached);
     return;
   }
-  Host& h = it->second;
+  Host& h = *found;
   if (h.nar) {
     nar_handle(h, std::move(p));
     return;
@@ -873,9 +894,9 @@ void ArAgent::drain_step(MhId mh, ArRole role) {
 // ---------------------------------------------------------------------------
 
 void ArAgent::teardown(MhId mh, ArRole role, DropReason reason) {
-  auto it = hosts_.find(mh);
-  if (it == hosts_.end()) return;
-  Host& h = it->second;
+  Host* found = find_host(mh);
+  if (found == nullptr) return;
+  Host& h = *found;
   ContextBase* ctx = h.context(role);
   if (ctx == nullptr) return;
   Simulation& sim = node_.sim();
@@ -896,14 +917,16 @@ void ArAgent::teardown(MhId mh, ArRole role, DropReason reason) {
   } else {
     h.intra.reset();
   }
-  forget_if_idle(it);
+  forget_if_idle(mh);
 }
 
 void ArAgent::teardown_all(DropReason reason) {
   for (ArRole role : {ArRole::kPar, ArRole::kNar, ArRole::kIntra}) {
-    for (auto it = hosts_.begin(); it != hosts_.end();) {
-      const MhId mh = (it++)->first;  // teardown may erase the record
+    // MhId order; teardown may erase the record, so step by key.
+    for (auto it = hosts_.cbegin(); it != hosts_.cend();) {
+      const MhId mh = it->mh;
       teardown(mh, role, reason);
+      it = slot_of(mh + 1);
     }
   }
 }
@@ -913,16 +936,16 @@ void ArAgent::teardown_all(DropReason reason) {
 // ---------------------------------------------------------------------------
 
 void ArAgent::on_mh_attached(MhId mh, NodeId /*ap*/, SimplexLink& downlink) {
-  Host& h = hosts_[mh];
+  Host& h = host(mh);
   h.downlink = &downlink;
   if (h.nar) h.nar->mh_here = true;
 }
 
 void ArAgent::on_mh_detached(MhId mh) {
-  auto it = hosts_.find(mh);
-  if (it == hosts_.end()) return;
-  it->second.downlink = nullptr;
-  forget_if_idle(it);
+  Host* h = find_host(mh);
+  if (h == nullptr) return;
+  h->downlink = nullptr;
+  forget_if_idle(mh);
 }
 
 }  // namespace fhmip

@@ -1,9 +1,9 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <utility>
+#include <vector>
 
 #include "buffer/buffer_manager.hpp"
 #include "buffer/policy.hpp"
@@ -175,14 +175,25 @@ class ArAgent : public ArAttachListener {
              rate.total_packets() == 0;
     }
   };
-  using HostTable = std::map<MhId, Host>;
+  // One owned record per host, sorted by MhId (a router serves a few dozen
+  // hosts, so a binary search over a flat array beats a tree walk). The
+  // records live on the heap: a Host& stays valid while a handler inserts
+  // or erases other hosts.
+  struct HostSlot {
+    MhId mh;
+    std::unique_ptr<Host> host;
+  };
+  using HostTable = std::vector<HostSlot>;
 
+  HostTable::const_iterator slot_of(MhId mh) const;  // first mh >= `mh`
   const Host* find_host(MhId mh) const;
   Host* find_host(MhId mh) {
     return const_cast<Host*>(std::as_const(*this).find_host(mh));
   }
-  // Erases the record once nothing keeps it alive.
-  void forget_if_idle(HostTable::iterator it);
+  // The host's record, inserted empty when it has none.
+  Host& host(MhId mh);
+  // Erases the host's record once nothing keeps it alive.
+  void forget_if_idle(MhId mh);
 
   // Control-plane handlers.
   bool handle_control(PacketPtr& p);

@@ -20,21 +20,20 @@ void BindingCache::update_secondary(Address key, Address coa, SimTime now,
     e.secondary_expires = now + lifetime;
     return;
   }
-  auto it = entries_.find(key.key());
-  if (it == entries_.end()) return;
-  if (!it->second.coa.valid()) {
-    entries_.erase(it);  // nothing but the secondary was bound
+  BindingEntry* e = entries_.find(key.key());
+  if (e == nullptr) return;
+  if (!e->coa.valid()) {
+    entries_.erase(key.key());  // nothing but the secondary was bound
     return;
   }
-  it->second.secondary = Address{};
+  e->secondary = Address{};
 }
 
 void BindingCache::remove(Address key) { entries_.erase(key.key()); }
 
 const BindingEntry* BindingCache::find(Address key, SimTime now) const {
-  auto it = entries_.find(key.key());
-  if (it == entries_.end() || it->second.expires <= now) return nullptr;
-  return &it->second;
+  const BindingEntry* e = entries_.find(key.key());
+  return e == nullptr || e->expires <= now ? nullptr : e;
 }
 
 std::optional<Address> BindingCache::lookup(Address key, SimTime now) const {

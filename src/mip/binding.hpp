@@ -1,9 +1,10 @@
 #pragma once
 
+#include <cstdint>
 #include <optional>
-#include <unordered_map>
 
 #include "net/address.hpp"
+#include "sim/int_map.hpp"
 #include "sim/time.hpp"
 
 namespace fhmip {
@@ -34,7 +35,8 @@ class BindingCache {
                         SimTime lifetime);
   void remove(Address key);
 
-  /// Returns the binding if its primary care-of address is live.
+  /// Returns the binding if its primary care-of address is live. The
+  /// pointer is valid until the next update or remove.
   const BindingEntry* find(Address key, SimTime now) const;
   /// Returns the care-of address if a live binding exists.
   std::optional<Address> lookup(Address key, SimTime now) const;
@@ -42,7 +44,7 @@ class BindingCache {
   std::size_t size() const { return entries_.size(); }
 
  private:
-  std::unordered_map<std::uint64_t, BindingEntry> entries_;
+  IntMap<std::uint64_t, BindingEntry> entries_;
 };
 
 }  // namespace fhmip

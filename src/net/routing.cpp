@@ -6,14 +6,6 @@
 #include "net/link.hpp"
 
 namespace fhmip {
-
-const Route* RoutingTable::lookup(Address dst) const {
-  if (auto it = host_.find(dst.key()); it != host_.end()) return &it->second;
-  if (auto it = prefix_.find(dst.net); it != prefix_.end()) return &it->second;
-  if (default_.valid()) return &default_;
-  return nullptr;
-}
-
 namespace {
 
 std::string describe(const Route& r) {
@@ -26,25 +18,26 @@ std::string describe(const Route& r) {
 }  // namespace
 
 std::string RoutingTable::format_table() const {
-  // Sorted snapshot: the unordered maps iterate in hash order, which
-  // depends on insertion history; the dump must not.
+  // Sorted snapshot: the tables iterate in slot order, which depends on
+  // insertion history; the dump must not.
   std::string out;
   std::vector<std::uint64_t> hosts;
   hosts.reserve(host_.size());
-  for (const auto& [key, route] : host_) hosts.push_back(key);
+  for (const auto& slot : host_) hosts.push_back(slot.key);
   std::sort(hosts.begin(), hosts.end());
   for (std::uint64_t key : hosts) {
     const Address a{static_cast<std::uint32_t>(key >> 32),
                     static_cast<std::uint32_t>(key)};
-    out += "host " + a.to_string() + " -> " + describe(host_.at(key)) + "\n";
+    out += "host " + a.to_string() + " -> " + describe(**host_.find(key)) +
+           "\n";
   }
   std::vector<std::uint32_t> nets;
   nets.reserve(prefix_.size());
-  for (const auto& [net, route] : prefix_) nets.push_back(net);
+  for (const auto& slot : prefix_) nets.push_back(slot.key);
   std::sort(nets.begin(), nets.end());
   for (std::uint32_t net : nets) {
     out += "prefix " + std::to_string(net) + " -> " +
-           describe(prefix_.at(net)) + "\n";
+           describe(**prefix_.find(net)) + "\n";
   }
   if (default_.valid()) out += "default -> " + describe(default_) + "\n";
   return out;

@@ -82,6 +82,7 @@ void HandoverTimeline::set_registry(MetricsRegistry& registry) {
 
 HandoverTimeline::OpenAttempt& HandoverTimeline::open_for(SimTime at,
                                                           MhId mh) {
+  if (mh >= open_.size()) open_.resize(mh + std::size_t{1});
   OpenAttempt& a = open_[mh];
   if (!a.open) {
     const std::uint32_t ordinal = a.ordinal + 1;
@@ -109,8 +110,7 @@ void HandoverTimeline::record(SimTime at, MhId mh, HoEventKind kind,
     default:
       break;
   }
-  auto it = open_.find(mh);
-  if (opens || (it != open_.end() && it->second.open)) {
+  if (opens || (mh < open_.size() && open_[mh].open)) {
     OpenAttempt& a = open_for(at, mh);
     ordinal = a.ordinal;
     switch (kind) {

@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -129,7 +128,8 @@ class HandoverTimeline {
   std::size_t record_cap_ = 0;
   std::uint64_t dropped_records_ = 0;
   HandoverOutcomeRecorder outcomes_;
-  std::map<MhId, OpenAttempt> open_;
+  // Indexed by MhId; grows to the highest MhId recorded so far.
+  std::vector<OpenAttempt> open_;
   // Registry series, resolved once by `set_registry` (null without one).
   Histogram* anticipation_ms_ = nullptr;
   Histogram* fbu_fback_ms_ = nullptr;

@@ -14,14 +14,6 @@ namespace {
 // Router advertisement period per access point (§4.1: one per second).
 constexpr SimTime kRaInterval = SimTime::seconds(1);
 
-// Spatial-hash cell key. Coordinates are truncated to 32 bits; two cells
-// collide only when their indices differ by 2^32 cells — unreachable for
-// any physical field.
-std::uint64_t cell_key(std::int64_t cx, std::int64_t cy) {
-  return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(cx)) << 32) |
-         static_cast<std::uint32_t>(cy);
-}
-
 std::int64_t cell_of(double v, double cell) {
   return static_cast<std::int64_t>(std::floor(v / cell));
 }
@@ -54,37 +46,57 @@ Node* ArAttachListener::ar_of_ap(NodeId ap) const {
 AccessPoint& WlanManager::add_ap(Node& ar_node, Vec2 pos, double radius_m,
                                  ArAttachListener* listener) {
   if (listener != nullptr) listener->wlan_ = this;
-  aps_.push_back(std::make_unique<AccessPoint>(next_ap_id_++, ar_node, pos,
-                                               radius_m, listener));
+  const auto id = static_cast<NodeId>(kFirstApId + aps_.size());
+  aps_.push_back(
+      std::make_unique<AccessPoint>(id, ar_node, pos, radius_m, listener));
+  ap_slots_.emplace_back();
   AccessPoint& ap = *aps_.back();
-  ap_index_[ap.id()] = &ap;
   if (running_) {
     // The grid and every queued host's slack assumed the old field.
     rebuild_ap_grid();
-    for (auto& [mh, rec] : mhs_) {
-      if (!rec.in_handoff) make_due(mh, rec);
+    for (const auto& rec : mhs_) {
+      if (rec && !rec->in_handoff) make_due(*rec);
     }
   }
   return ap;
 }
 
 void WlanManager::rebuild_ap_grid() {
-  ap_grid_.clear();
+  grid_.clear();
+  grid_w_ = grid_h_ = 0;
+  if (aps_.empty()) return;
   // Cell edge = the largest coverage radius (>= 1 m so degenerate radii
   // don't explode the cell count). Any AP covering a point is then at most
   // one cell away from it in either axis.
   grid_cell_ = 1.0;
   for (const auto& ap : aps_) grid_cell_ = std::max(grid_cell_, ap->radius());
+  // The grid spans the APs' bounding cells, two cells wider on each side:
+  // every cell outside it has empty lists.
+  std::int64_t x1 = 0, y1 = 0;
+  for (std::size_t i = 0; i < aps_.size(); ++i) {
+    const std::int64_t cx = cell_of(aps_[i]->position().x, grid_cell_);
+    const std::int64_t cy = cell_of(aps_[i]->position().y, grid_cell_);
+    grid_x0_ = i == 0 ? cx : std::min(grid_x0_, cx);
+    grid_y0_ = i == 0 ? cy : std::min(grid_y0_, cy);
+    x1 = i == 0 ? cx : std::max(x1, cx);
+    y1 = i == 0 ? cy : std::max(y1, cy);
+  }
+  grid_x0_ -= 2;
+  grid_y0_ -= 2;
+  grid_w_ = x1 + 3 - grid_x0_;
+  grid_h_ = y1 + 3 - grid_y0_;
+  grid_.resize(static_cast<std::size_t>(grid_w_ * grid_h_));
   // Each AP is listed under the cells around its own, so a cell's lists
   // hold every AP of its neighbourhoods. Ids are handed out in insertion
   // order, so appending in `aps_` order keeps each list in id order: the
   // exact visit order of a full scan over `aps_`.
   for (const auto& ap : aps_) {
-    const std::int64_t cx = cell_of(ap->position().x, grid_cell_);
-    const std::int64_t cy = cell_of(ap->position().y, grid_cell_);
+    const std::int64_t cx = cell_of(ap->position().x, grid_cell_) - grid_x0_;
+    const std::int64_t cy = cell_of(ap->position().y, grid_cell_) - grid_y0_;
     for (std::int64_t dx = -2; dx <= 2; ++dx) {
       for (std::int64_t dy = -2; dy <= 2; ++dy) {
-        GridCell& cell = ap_grid_[cell_key(cx + dx, cy + dy)];
+        GridCell& cell =
+            grid_[static_cast<std::size_t>((cy + dy) * grid_w_ + cx + dx)];
         cell.wide.push_back(ap.get());
         if (std::abs(dx) <= 1 && std::abs(dy) <= 1) {
           cell.near.push_back(ap.get());
@@ -95,26 +107,31 @@ void WlanManager::rebuild_ap_grid() {
 }
 
 const WlanManager::GridCell& WlanManager::grid_cell(Vec2 pos) const {
-  const auto it = ap_grid_.find(
-      cell_key(cell_of(pos.x, grid_cell_), cell_of(pos.y, grid_cell_)));
-  return it == ap_grid_.end() ? no_aps_ : it->second;
+  const std::int64_t cx = cell_of(pos.x, grid_cell_) - grid_x0_;
+  const std::int64_t cy = cell_of(pos.y, grid_cell_) - grid_y0_;
+  if (cx < 0 || cx >= grid_w_ || cy < 0 || cy >= grid_h_) return no_aps_;
+  return grid_[static_cast<std::size_t>(cy * grid_w_ + cx)];
 }
 
 void WlanManager::add_mh(Node& mh_node, std::unique_ptr<MobilityModel> mob,
                          L2Callbacks* callbacks) {
-  MhRecord rec;
-  rec.node = &mh_node;
-  rec.mobility = std::move(mob);
-  rec.cb = callbacks;
-  auto [it, inserted] = mhs_.emplace(mh_node.id(), std::move(rec));
+  const MhId mh = mh_node.id();
+  if (mh >= mhs_.size()) mhs_.resize(mh + std::size_t{1});
+  if (mhs_[mh]) return;  // already known
+  auto rec = std::make_unique<MhRecord>();
+  rec->mh = mh;
+  rec->node = &mh_node;
+  rec->mobility = std::move(mob);
+  rec->cb = callbacks;
+  mhs_[mh] = std::move(rec);
   // Before start() every host is queued at once; after it, a new host is
   // evaluated by the next tick that has not passed it yet.
-  if (inserted && running_) make_due(it->first, it->second);
+  if (running_) make_due(*mhs_[mh]);
 }
 
 WlanManager::~WlanManager() {
   sim_.cancel(tick_ev_);
-  for (auto& [ap, ev] : ra_evs_) sim_.cancel(ev);
+  for (const ApSlot& a : ap_slots_) sim_.cancel(a.ra_ev);
   for (EventId ev : oneshot_evs_) sim_.cancel(ev);
 }
 
@@ -123,9 +140,10 @@ void WlanManager::start() {
   rebuild_ap_grid();
   tick_ = 0;
   due_.clear();
-  for (auto& [mh, rec] : mhs_) {
-    rec.due_tick = 0;
-    due_.push_back({0, mh, &rec});
+  for (const auto& rec : mhs_) {
+    if (!rec) continue;
+    rec->due_tick = 0;
+    due_.push_back({0, rec->mh, rec.get()});
   }
   std::make_heap(due_.begin(), due_.end(), later<DueEntry>);
   poll_due();
@@ -136,7 +154,8 @@ void WlanManager::start() {
       const SimTime phase =
           SimTime::from_seconds(sim_.rng().uniform(0.0, kRaInterval.sec()));
       AccessPoint* a = ap.get();
-      ra_evs_[a->id()] = sim_.in(phase, [this, a] { send_router_adv(*a); });
+      slot(a->id()).ra_ev =
+          sim_.in(phase, [this, a] { send_router_adv(*a); });
     }
   }
 }
@@ -163,34 +182,34 @@ void WlanManager::poll_due() {
     if (e.rec->due_tick != e.tick) continue;  // re-queued or in a handoff
     e.rec->due_tick = kNotDue;
     polling_mh_ = e.mh;
-    evaluate(e.mh, *e.rec);
+    evaluate(*e.rec);
   }
   polling_ = false;
 #if FHMIP_AUDIT_LEVEL >= 2
-  for (const auto& [mh, rec] : mhs_) {
-    if (rec.in_handoff || rec.evaluated_tick == tick_) continue;
+  for (const auto& rec : mhs_) {
+    if (!rec || rec->in_handoff || rec->evaluated_tick == tick_) continue;
     FHMIP_AUDIT2_MSG("wlan",
-                     decide(rec, rec.mobility->position(sim_.now())).idle(),
-                     "skipped host mh" + std::to_string(mh) +
+                     decide(*rec, rec->mobility->position(sim_.now())).idle(),
+                     "skipped host mh" + std::to_string(rec->mh) +
                          " would act at tick " + std::to_string(tick_));
   }
 #endif
 }
 
-void WlanManager::make_due(MhId mh, MhRecord& rec) {
-  queue(mh, rec, polling_ && mh > polling_mh_ ? tick_ : tick_ + 1);
+void WlanManager::make_due(MhRecord& rec) {
+  queue(rec, polling_ && rec.mh > polling_mh_ ? tick_ : tick_ + 1);
 }
 
-void WlanManager::queue(MhId mh, MhRecord& rec, std::uint64_t tick) {
+void WlanManager::queue(MhRecord& rec, std::uint64_t tick) {
   // A tick that has run cannot evaluate anyone any more.
   FHMIP_AUDIT("wlan", tick >= tick_);
   if (rec.due_tick <= tick) return;  // already due no later
   rec.due_tick = tick;
-  due_.push_back({tick, mh, &rec});
+  due_.push_back({tick, rec.mh, &rec});
   std::push_heap(due_.begin(), due_.end(), later<DueEntry>);
 }
 
-void WlanManager::schedule_next(MhId mh, MhRecord& rec, Vec2 pos) {
+void WlanManager::schedule_next(MhRecord& rec, Vec2 pos) {
   const double v = rec.mobility->speed_bound(sim_.now());
   if (v <= 0) return;  // never moves again: due only after a state change
   // In k ticks the host moves at most k * step. Skip the ticks before the
@@ -199,7 +218,7 @@ void WlanManager::schedule_next(MhId mh, MhRecord& rec, Vec2 pos) {
   const double ticks = std::floor((slack(rec, pos) - kSlackGuardM) / step) - 1;
   std::uint64_t ahead = 1;
   if (ticks > 1) ahead = static_cast<std::uint64_t>(std::min(ticks, 1e15));
-  queue(mh, rec, tick_ + ahead);
+  queue(rec, tick_ + ahead);
 }
 
 AccessPoint* WlanManager::best_candidate(Vec2 pos, NodeId exclude) const {
@@ -216,14 +235,14 @@ AccessPoint* WlanManager::best_candidate(Vec2 pos, NodeId exclude) const {
   return best;
 }
 
-void WlanManager::evaluate(MhId mh, MhRecord& rec) {
+void WlanManager::evaluate(MhRecord& rec) {
   if (rec.in_handoff) return;
   ++evaluations_;
   rec.evaluated_tick = tick_;
   const Vec2 pos = rec.mobility->position(sim_.now());
   const Decision dec = decide(rec, pos);
   if (dec.idle()) {
-    schedule_next(mh, rec, pos);
+    schedule_next(rec, pos);
     return;
   }
 
@@ -233,8 +252,8 @@ void WlanManager::evaluate(MhId mh, MhRecord& rec) {
     // grid walk fires exactly the triggers the full scan would.
     for (AccessPoint* other : nearby_aps(pos)) {
       if (other->id() == rec.attached) continue;
-      if (other->covers(pos) && !rec.triggered.count(other->id())) {
-        rec.triggered.insert(other->id());
+      if (other->covers(pos) && !rec.has_triggered(other->id())) {
+        rec.triggered.push_back(other->id());
         if (rec.cb) rec.cb->on_l2_trigger(other->id(), other->ar_node());
       }
     }
@@ -243,14 +262,14 @@ void WlanManager::evaluate(MhId mh, MhRecord& rec) {
     case Decision::Action::kNone:
       break;
     case Decision::Action::kAttach:
-      attach(mh, rec, *dec.target);
+      attach(rec, *dec.target);
       break;
     case Decision::Action::kHandoff:
-      start_handoff(mh, rec, *dec.target);
+      start_handoff(rec, *dec.target);
       break;
     case Decision::Action::kDetach:
-      detach(mh, rec);
-      set_attached(mh, rec, kNoNode);
+      detach(rec);
+      set_attached(rec, kNoNode);
       if (rec.cb) rec.cb->on_detached();
       break;
   }
@@ -259,9 +278,9 @@ void WlanManager::evaluate(MhId mh, MhRecord& rec) {
   // has something to do, else once it may have moved its slack.
   if (rec.in_handoff) return;
   if (decide(rec, pos).idle()) {
-    schedule_next(mh, rec, pos);
+    schedule_next(rec, pos);
   } else {
-    make_due(mh, rec);
+    make_due(rec);
   }
 }
 
@@ -281,7 +300,7 @@ WlanManager::Decision WlanManager::decide(const MhRecord& rec,
   const double d = cur->distance_to(pos);
   for (const AccessPoint* other : nearby_aps(pos)) {
     if (other->id() != rec.attached && other->covers(pos) &&
-        !rec.triggered.count(other->id())) {
+        !rec.has_triggered(other->id())) {
       dec.trigger = true;
       break;
     }
@@ -345,7 +364,7 @@ double WlanManager::slack(const MhRecord& rec, Vec2 pos) const {
     if (a->id() == rec.attached) continue;
     const double di = a->distance_to(pos);
     const double uncovered = di - a->radius();
-    if (!rec.triggered.count(a->id())) s = std::min(s, uncovered);  // L2-ST
+    if (!rec.has_triggered(a->id())) s = std::min(s, uncovered);  // L2-ST
     const double blocked =
         h > 0 ? std::max(uncovered, (di + h - d) / 2) : uncovered;
     candidate = std::min(candidate, blocked);
@@ -355,17 +374,15 @@ double WlanManager::slack(const MhRecord& rec, Vec2 pos) const {
 
 void WlanManager::force_handoff(MhId mh, NodeId target_ap, SimTime at) {
   oneshot_evs_.push_back(sim_.at(at, [this, mh, target_ap] {
-    auto it = mhs_.find(mh);
-    if (it == mhs_.end() || it->second.in_handoff) return;
+    MhRecord* rec = record(mh);
+    if (rec == nullptr || rec->in_handoff) return;
     if (AccessPoint* target = ap(target_ap)) {
-      if (target->id() != it->second.attached) {
-        start_handoff(mh, it->second, *target);
-      }
+      if (target->id() != rec->attached) start_handoff(*rec, *target);
     }
   }));
 }
 
-void WlanManager::start_handoff(MhId mh, MhRecord& rec, AccessPoint& target) {
+void WlanManager::start_handoff(MhRecord& rec, AccessPoint& target) {
   FHMIP_AUDIT("wlan", !rec.in_handoff);  // one blackout at a time
   rec.in_handoff = true;
   rec.due_tick = kNotDue;  // attach() queues it again
@@ -379,121 +396,131 @@ void WlanManager::start_handoff(MhId mh, MhRecord& rec, AccessPoint& target) {
   m_handoffs_->inc();
   m_blackout_ms_->observe(blackout.millis_f());
   if (rec.cb) rec.cb->on_predisconnect(target.id(), target.ar_node());
-  const NodeId target_id = target.id();
+  AccessPoint* to = &target;
+  MhRecord* r = &rec;
   oneshot_evs_.push_back(
-      sim_.in(cfg_.predisconnect_guard, [this, mh, target_id, blackout] {
-        auto& r = mhs_.at(mh);
-        detach(mh, r);
-        if (r.cb) r.cb->on_detached();
-        oneshot_evs_.push_back(sim_.in(blackout, [this, mh, target_id] {
-          MhRecord& back = mhs_.at(mh);
-          attach(mh, back, *ap(target_id));
-          make_due(mh, back);
+      sim_.in(cfg_.predisconnect_guard, [this, r, to, blackout] {
+        detach(*r);
+        if (r->cb) r->cb->on_detached();
+        oneshot_evs_.push_back(sim_.in(blackout, [this, r, to] {
+          attach(*r, *to);
+          make_due(*r);
         }));
       }));
 }
 
-void WlanManager::detach(MhId mh, MhRecord& rec) {
+void WlanManager::detach(MhRecord& rec) {
   if (rec.attached == kNoNode) return;
   AccessPoint* cur = ap(rec.attached);
-  RadioPair& pair = radio(*cur, mh);
+  RadioPair& pair = radio(*cur, rec);
   pair.down->set_up(false);
   pair.up->set_up(false);
-  if (cur->listener()) cur->listener()->on_mh_detached(mh);
+  if (cur->listener()) cur->listener()->on_mh_detached(rec.mh);
 }
 
-void WlanManager::attach(MhId mh, MhRecord& rec, AccessPoint& target) {
-  RadioPair& pair = radio(target, mh);
+void WlanManager::attach(MhRecord& rec, AccessPoint& target) {
+  RadioPair& pair = radio(target, rec);
   pair.down->set_up(true);
   pair.up->set_up(true);
-  set_attached(mh, rec, target.id());
+  set_attached(rec, target.id());
   rec.in_handoff = false;
   rec.triggered.clear();
   // The MH's way out is the uplink radio.
   rec.node->routes().set_default_route(Route::via(*pair.up));
   if (target.listener()) {
-    target.listener()->on_mh_attached(mh, target.id(), *pair.down);
+    target.listener()->on_mh_attached(rec.mh, target.id(), *pair.down);
   }
   if (rec.cb) rec.cb->on_attached(target.id(), target.ar_node());
 }
 
 SimplexLink* WlanManager::uplink(NodeId ap_id, MhId mh) {
   AccessPoint* a = ap(ap_id);
-  if (a == nullptr || mhs_.count(mh) == 0) return nullptr;
-  return radio(*a, mh).up.get();
+  MhRecord* rec = record(mh);
+  if (a == nullptr || rec == nullptr) return nullptr;
+  return radio(*a, *rec).up.get();
 }
 
 SimplexLink* WlanManager::downlink(NodeId ap_id, MhId mh) {
   AccessPoint* a = ap(ap_id);
-  if (a == nullptr || mhs_.count(mh) == 0) return nullptr;
-  return radio(*a, mh).down.get();
+  MhRecord* rec = record(mh);
+  if (a == nullptr || rec == nullptr) return nullptr;
+  return radio(*a, *rec).down.get();
 }
 
-WlanManager::RadioPair& WlanManager::radio(const AccessPoint& ap, MhId mh) {
-  const auto key = std::make_pair(ap.id(), mh);
-  auto it = radios_.find(key);
-  if (it == radios_.end()) {
-    RadioPair pair;
-    Node& mh_node = *mhs_.at(mh).node;
-    pair.down = std::make_unique<SimplexLink>(
-        sim_, mh_node, cfg_.bandwidth_bps, cfg_.delay, cfg_.queue_limit,
-        ap.ar_node().name() + ">mh" + std::to_string(mh));
-    pair.up = std::make_unique<SimplexLink>(
-        sim_, ap.ar_node(), cfg_.bandwidth_bps, cfg_.delay, cfg_.queue_limit,
-        "mh" + std::to_string(mh) + ">" + ap.ar_node().name());
-    pair.down->set_up(false);
-    pair.up->set_up(false);
-    it = radios_.emplace(key, std::move(pair)).first;
+WlanManager::RadioPair& WlanManager::radio(const AccessPoint& ap,
+                                           MhRecord& rec) {
+  for (RadioPair& pair : rec.radios) {
+    if (pair.ap == ap.id()) return pair;
   }
-  return it->second;
+  RadioPair pair;
+  pair.ap = ap.id();
+  const std::string mh = "mh" + std::to_string(rec.mh);
+  pair.down = std::make_unique<SimplexLink>(
+      sim_, *rec.node, cfg_.bandwidth_bps, cfg_.delay, cfg_.queue_limit,
+      ap.ar_node().name() + ">" + mh);
+  pair.up = std::make_unique<SimplexLink>(
+      sim_, ap.ar_node(), cfg_.bandwidth_bps, cfg_.delay, cfg_.queue_limit,
+      mh + ">" + ap.ar_node().name());
+  pair.down->set_up(false);
+  pair.up->set_up(false);
+  return rec.radios.emplace_back(std::move(pair));
 }
 
 void WlanManager::send_router_adv(AccessPoint& ap) {
   if (!running_) return;
-  // The per-AP set mirrors `rec.attached` exactly (including hosts whose
+  // The per-AP list mirrors `rec.attached` exactly (including hosts whose
   // record still points here during a handoff blackout), in MhId order —
   // the same hosts, in the same order, a full walk of `mhs_` would hit.
-  if (auto sit = attached_mhs_.find(ap.id()); sit != attached_mhs_.end()) {
-    for (MhId mh : sit->second) {
-      MhRecord& rec = mhs_.at(mh);
-      RouterAdvMsg adv;
-      adv.ar_node = ap.ar_node().id();
-      adv.ar_addr = ap.ar_node().address();
-      adv.prefix = adv.ar_addr.net;
-      adv.buffer_capable = true;  // the "B" flag (§2.4)
-      auto p = make_control(sim_, ap.ar_node().address(),
-                            rec.node->address(), adv, 80);
-      radio(ap, mh).down->transmit(std::move(p));
-    }
+  ApSlot& as = slot(ap.id());
+  for (const MhRecord* rec : as.attached) {
+    RouterAdvMsg adv;
+    adv.ar_node = ap.ar_node().id();
+    adv.ar_addr = ap.ar_node().address();
+    adv.prefix = adv.ar_addr.net;
+    adv.buffer_capable = true;  // the "B" flag (§2.4)
+    auto p = make_control(sim_, ap.ar_node().address(), rec->node->address(),
+                          adv, 80);
+    rec->serving_down->transmit(std::move(p));
   }
-  ra_evs_[ap.id()] = sim_.in(kRaInterval, [this, &ap] { send_router_adv(ap); });
+  as.ra_ev = sim_.in(kRaInterval, [this, &ap] { send_router_adv(ap); });
 }
 
-void WlanManager::set_attached(MhId mh, MhRecord& rec, NodeId new_ap) {
+void WlanManager::set_attached(MhRecord& rec, NodeId new_ap) {
   if (rec.attached == new_ap) return;
-  if (rec.attached != kNoNode) attached_mhs_[rec.attached].erase(mh);
-  if (new_ap != kNoNode) attached_mhs_[new_ap].insert(mh);
+  const auto by_mh = [](const MhRecord* a, const MhRecord* b) {
+    return a->mh < b->mh;
+  };
+  if (rec.attached != kNoNode) {
+    std::vector<MhRecord*>& old = slot(rec.attached).attached;
+    old.erase(std::lower_bound(old.begin(), old.end(), &rec, by_mh));
+  }
   rec.attached = new_ap;
+  rec.serving_down = nullptr;
+  if (new_ap != kNoNode) {
+    std::vector<MhRecord*>& now = slot(new_ap).attached;
+    now.insert(std::upper_bound(now.begin(), now.end(), &rec, by_mh), &rec);
+    rec.serving_down = radio(*ap(new_ap), rec).down.get();
+  }
 }
 
 Vec2 WlanManager::mh_position(MhId mh) const {
-  auto it = mhs_.find(mh);
-  return it == mhs_.end() ? Vec2{} : it->second.mobility->position(sim_.now());
+  const MhRecord* rec = record(mh);
+  return rec == nullptr ? Vec2{} : rec->mobility->position(sim_.now());
 }
 
 NodeId WlanManager::attached_ap(MhId mh) const {
-  auto it = mhs_.find(mh);
-  return it == mhs_.end() ? kNoNode : it->second.attached;
+  const MhRecord* rec = record(mh);
+  return rec == nullptr ? kNoNode : rec->attached;
 }
 
 bool WlanManager::in_handoff(MhId mh) const {
-  auto it = mhs_.find(mh);
-  return it != mhs_.end() && it->second.in_handoff;
+  const MhRecord* rec = record(mh);
+  return rec != nullptr && rec->in_handoff;
 }
 
 AccessPoint* WlanManager::ap(NodeId id) const {
-  auto it = ap_index_.find(id);
-  return it == ap_index_.end() ? nullptr : it->second;
+  const std::size_t i = id - std::size_t{kFirstApId};
+  return id >= kFirstApId && i < aps_.size() ? aps_[i].get() : nullptr;
 }
 
 }  // namespace fhmip

@@ -1,11 +1,9 @@
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <optional>
-#include <set>
-#include <unordered_map>
 #include <vector>
 
 #include "net/link.hpp"
@@ -104,22 +102,38 @@ class WlanManager {
   const WlanConfig& config() const { return cfg_; }
 
  private:
+  // AP ids live in a separate space from node ids: the i-th AP added is
+  // kFirstApId + i, so ap() is an index into aps_.
+  static constexpr NodeId kFirstApId = 10000;
   struct RadioPair {
+    NodeId ap = kNoNode;
     std::unique_ptr<SimplexLink> down;  // AR -> MH
     std::unique_ptr<SimplexLink> up;    // MH -> AR
   };
   static constexpr std::uint64_t kNotDue = ~std::uint64_t{0};
   struct MhRecord {
+    MhId mh = kNoNode;
     Node* node = nullptr;
     std::unique_ptr<MobilityModel> mobility;
     L2Callbacks* cb = nullptr;
     NodeId attached = kNoNode;
+    // The downlink radio of `attached` (null while detached), which router
+    // advertisements go out on.
+    SimplexLink* serving_down = nullptr;
     bool in_handoff = false;
-    std::set<NodeId> triggered;  // APs already L2-ST'd since last attach
+    std::vector<NodeId> triggered;  // APs already L2-ST'd since last attach
+    // One radio pair per AP this host has been associated with (or asked
+    // for through uplink()/downlink()), created on demand; a handful each.
+    std::vector<RadioPair> radios;
     // The tick this host is next evaluated at (kNotDue: only after a state
     // change), and the last tick it was evaluated at.
     std::uint64_t due_tick = kNotDue;
     std::uint64_t evaluated_tick = kNotDue;
+
+    bool has_triggered(NodeId ap) const {
+      return std::find(triggered.begin(), triggered.end(), ap) !=
+             triggered.end();
+    }
   };
   // A min-heap entry of due_: popping in (tick, mh) order visits a tick's
   // due hosts in MhId order, the order of the every-host poll. An entry
@@ -137,38 +151,50 @@ class WlanManager {
     AccessPoint* target = nullptr;  // for kAttach and kHandoff
     bool idle() const { return !trigger && action == Action::kNone; }
   };
+  // Per-AP state, indexed like aps_.
+  struct ApSlot {
+    // Hosts whose record points at this AP (including hosts in a handoff
+    // blackout that left it), sorted by MhId: the router-advertisement
+    // fan-out order.
+    std::vector<MhRecord*> attached;
+    EventId ra_ev = kInvalidEvent;  // the pending advertisement
+  };
 
+  MhRecord* record(MhId mh) const {
+    return mh < mhs_.size() ? mhs_[mh].get() : nullptr;
+  }
   void tick();
   /// Evaluates every host due at tick_, in MhId order.
   void poll_due();
-  void evaluate(MhId mh, MhRecord& rec);
+  void evaluate(MhRecord& rec);
   Decision decide(const MhRecord& rec, Vec2 pos) const;
   /// How far the host at `pos` must move before decide() could stop being
   /// idle (decide() must be idle there).
   double slack(const MhRecord& rec, Vec2 pos) const;
   /// Queues the host at the first tick on which it may have moved `slack`.
-  void schedule_next(MhId mh, MhRecord& rec, Vec2 pos);
+  void schedule_next(MhRecord& rec, Vec2 pos);
   /// Queues the host at the next tick whose poll has not yet passed it.
-  void make_due(MhId mh, MhRecord& rec);
-  void queue(MhId mh, MhRecord& rec, std::uint64_t tick);
+  void make_due(MhRecord& rec);
+  void queue(MhRecord& rec, std::uint64_t tick);
   AccessPoint* best_candidate(Vec2 pos, NodeId exclude) const;
-  void start_handoff(MhId mh, MhRecord& rec, AccessPoint& target);
-  void detach(MhId mh, MhRecord& rec);
-  void attach(MhId mh, MhRecord& rec, AccessPoint& target);
-  RadioPair& radio(const AccessPoint& ap, MhId mh);
+  void start_handoff(MhRecord& rec, AccessPoint& target);
+  void detach(MhRecord& rec);
+  void attach(MhRecord& rec, AccessPoint& target);
+  RadioPair& radio(const AccessPoint& ap, MhRecord& rec);
   void send_router_adv(AccessPoint& ap);
-  /// Records a change of `rec.attached` in the per-AP attachment sets that
+  /// Records a change of `rec.attached` in the per-AP attachment lists that
   /// send_router_adv iterates (kNoNode = detached).
-  void set_attached(MhId mh, MhRecord& rec, NodeId new_ap);
+  void set_attached(MhRecord& rec, NodeId new_ap);
+  ApSlot& slot(NodeId ap) { return ap_slots_[ap - kFirstApId]; }
   void rebuild_ap_grid();
   /// APs whose coverage disc could contain `pos` (the 3x3 cell
-  /// neighbourhood of the spatial hash), in insertion (= id) order — the
-  /// same order a full scan of `aps_` would visit them. One hash lookup of
-  /// a list precomputed by rebuild_ap_grid().
+  /// neighbourhood of the spatial grid), in insertion (= id) order — the
+  /// same order a full scan of `aps_` would visit them. One index into a
+  /// list precomputed by rebuild_ap_grid().
   const std::vector<AccessPoint*>& nearby_aps(Vec2 pos) const {
     return grid_cell(pos).near;
   }
-  // The APs listed under one spatial-hash cell: every AP of its 3x3 cell
+  // The APs listed under one grid cell: every AP of its 3x3 cell
   // neighbourhood (in id order), and every AP of its 5x5 one, the APs
   // slack() measures one by one.
   struct GridCell {
@@ -180,22 +206,26 @@ class WlanManager {
   Simulation& sim_;
   WlanConfig cfg_;
   std::vector<std::unique_ptr<AccessPoint>> aps_;
-  std::map<MhId, MhRecord> mhs_;
-  std::map<std::pair<NodeId, MhId>, RadioPair> radios_;
-  // Scaling indexes over the flat containers above (a city-scale field has
-  // hundreds of APs and thousands of MHs; every per-tick lookup must stay
-  // O(local density), not O(field size)):
-  //  * ap_index_: id -> AP, replacing the linear ap() scan;
-  //  * ap_grid_: spatial hash with cell = max AP radius, so any AP
-  //    covering a point lies in the 3x3 neighbourhood of its cell; each
-  //    cell maps to the APs of its neighbourhoods (GridCell);
-  //  * attached_mhs_: per-AP attachment sets (MhId-ordered, matching the
-  //    old whole-map walk) for router advertisement fan-out.
-  std::unordered_map<NodeId, AccessPoint*> ap_index_;
-  std::unordered_map<std::uint64_t, GridCell> ap_grid_;
+  std::vector<ApSlot> ap_slots_;
+  // Indexed by MhId (null where no host has that id). Each record is owned
+  // separately, so DueEntry::rec and ApSlot::attached survive growth.
+  std::vector<std::unique_ptr<MhRecord>> mhs_;
+  // Scaling indexes (a city-scale field has hundreds of APs and thousands
+  // of MHs; every per-tick lookup must stay O(local density), not O(field
+  // size), and none walks a tree):
+  //  * ap(): id - kFirstApId indexes aps_ and ap_slots_;
+  //  * grid_: a dense spatial grid with cell = max AP radius, so any AP
+  //    covering a point lies in the 3x3 neighbourhood of its cell; it spans
+  //    the APs' bounding cells +-2, the cells whose lists are not empty,
+  //    and maps each cell to the APs of its neighbourhoods (GridCell);
+  //  * ApSlot::attached: per-AP attachment lists (MhId-ordered, matching a
+  //    whole-table walk) for router advertisement fan-out, each entry the
+  //    host's record, whose serving_down is the radio to send on.
+  std::vector<GridCell> grid_;
+  std::int64_t grid_x0_ = 0, grid_y0_ = 0;  // cell coordinates of grid_[0]
+  std::int64_t grid_w_ = 0, grid_h_ = 0;
   const GridCell no_aps_;  // a cell with no AP within two cells
   double grid_cell_ = 1.0;
-  std::map<NodeId, std::set<MhId>> attached_mhs_;
   bool running_ = false;
   // Due-tick poll: tick_ is the index of the last tick that ran (start() is
   // tick 0); while poll_due() runs, polling_mh_ is the host it evaluates.
@@ -206,17 +236,15 @@ class WlanManager {
   std::uint64_t evaluations_ = 0;
   // Pending self-scheduled events, cancelled in the destructor so no timer
   // callback can fire into a dead manager. The tick loop and each AP's RA
-  // chain keep exactly one pending event; one-shot events (forced handoffs
-  // and the detach/attach phases) are appended and cancelled wholesale —
-  // cancelling an already-run id is a no-op.
+  // chain (ApSlot::ra_ev) keep exactly one pending event; one-shot events
+  // (forced handoffs and the detach/attach phases) are appended and
+  // cancelled wholesale — cancelling an already-run id is a no-op.
   EventId tick_ev_ = kInvalidEvent;
-  std::map<NodeId, EventId> ra_evs_;
   std::vector<EventId> oneshot_evs_;
   std::size_t handoffs_ = 0;
   SimTime last_blackout_;
   obs::Counter* m_handoffs_ = nullptr;       // wlan/handoffs
   obs::Histogram* m_blackout_ms_ = nullptr;  // wlan/blackout_ms
-  NodeId next_ap_id_ = 10000;  // AP ids live in a separate space from nodes
 };
 
 }  // namespace fhmip

@@ -83,6 +83,54 @@ TEST_F(RoutingFixture, RouteCounts) {
   EXPECT_EQ(t.num_prefix_routes(), 0u);
 }
 
+TEST_F(RoutingFixture, TableWithoutHostRoutesStillMatchesPrefixAndDefault) {
+  RoutingTable t;
+  t.set_prefix_route(5, Route::via(l1));
+  t.set_default_route(Route::via(l2));
+  t.set_host_route({5, 7}, Route::via(l2));
+  t.remove_host_route({5, 7});
+  ASSERT_EQ(t.num_host_routes(), 0u);
+  EXPECT_EQ(t.lookup({5, 7})->link, &l1);
+  EXPECT_EQ(t.lookup({6, 7})->link, &l2);
+}
+
+TEST_F(RoutingFixture, HandlerEditingItsOwnTableDuringDispatchNeverMoves) {
+  // A handler route that, while it runs, adds enough host routes to grow
+  // the table several times and removes half of them again (the NAR's
+  // PCoA handler edits its own router's table the same way).
+  struct Ctx {
+    RoutingTable t;
+    SimplexLink* link = nullptr;
+    int calls = 0;
+    const Route* self_after = nullptr;
+  } ctx;
+  ctx.link = &l1;
+  Ctx* c = &ctx;  // a one-pointer capture lives inside the Route itself
+  ctx.t.set_host_route({5, 7}, Route::to([c](PacketPtr) {
+    for (std::uint32_t h = 100; h < 400; ++h) {
+      c->t.set_host_route({5, h}, Route::via(*c->link));
+    }
+    for (std::uint32_t h = 100; h < 400; h += 2) {
+      c->t.remove_host_route({5, h});
+    }
+    ++c->calls;
+    c->self_after = c->t.lookup({5, 7});
+  }));
+  const Route* self = ctx.t.lookup({5, 7});
+  ASSERT_NE(self, nullptr);
+  self->handler(make_packet(sim, {1, 1}, {5, 7}, 10));
+  EXPECT_EQ(ctx.calls, 1);
+  EXPECT_EQ(ctx.self_after, self);  // the running Route did not move
+  EXPECT_EQ(ctx.t.lookup({5, 7}), self);
+  EXPECT_EQ(ctx.t.num_host_routes(), 1u + 150u);
+  for (std::uint32_t h = 100; h < 400; ++h) {
+    EXPECT_EQ(ctx.t.has_host_route({5, h}), h % 2 == 1) << h;
+  }
+  // It still dispatches after all that.
+  self->handler(make_packet(sim, {1, 1}, {5, 7}, 10));
+  EXPECT_EQ(ctx.calls, 2);
+}
+
 TEST_F(RoutingFixture, RouteValidity) {
   Route none;
   EXPECT_FALSE(none.valid());

@@ -105,6 +105,12 @@ class TestSemanticRules(FixtureRoot):
         p = self.stage("det02_obs.hpp")
         self.assert_findings("DET-02", p, [12], [17])
 
+    def test_det02_covers_the_open_addressed_int_map(self):
+        # IntMap iterates in hash-slot order: the push_back loop is active,
+        # its NOLINTed twin suppressed, the sorted snapshot silent.
+        p = self.stage("det02_intmap.hpp")
+        self.assert_findings("DET-02", p, [12], [17])
+
     def test_aud01_fires_and_suppresses(self):
         p = self.stage("aud01.hpp")
         # bump() mutates without auditing; bump_quiet() is NOLINTed;
@@ -127,6 +133,14 @@ class TestSemanticRules(FixtureRoot):
         # linked only reads, and first_count holds a const_iterator: those
         # three stay silent.
         self.assert_findings("AUD-01", p, [19, 25, 30], [])
+
+    def test_aud01_sees_writes_through_member_table_accessors(self):
+        p = self.stage("aud01_accessor.hpp")
+        # attach writes through the Host& that host() returns and detach
+        # through the Host* of find_host(); peek holds a const pointer,
+        # scribble writes through the static spare() (no field behind it),
+        # attached only reads: those three stay silent.
+        self.assert_findings("AUD-01", p, [20, 25], [])
 
     def test_aud01_delegates_only_through_calls_on_this(self):
         p = self.stage("aud01_receiver.hpp")
@@ -164,6 +178,14 @@ class TestCallGraphRules(FixtureRoot):
         # reachable from the declared root; the unreachable cold_path and
         # the NOLINTed scratch vector stay out.
         p = self.stage("perf01.hpp")
+        self.assert_findings("PERF-01", p, [22, 27, 28], [37], extra=ROOTS)
+
+    def test_perf01_sees_std_containers_next_to_a_std_specialization(self):
+        # A `struct std::hash<...>` specialization elsewhere in the program
+        # must not turn `std` into a program class, which would hide the
+        # std::vector growth in store().
+        p = self.stage("perf01.hpp")
+        self.stage("perf01_std_hash.hpp")
         self.assert_findings("PERF-01", p, [22, 27, 28], [37], extra=ROOTS)
 
     def test_perf01_multi_hop_reachability_path(self):

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <map>
+#include <string>
+#include <vector>
+
 #include "net/network.hpp"
 
 namespace fhmip {
@@ -374,6 +379,83 @@ TEST_F(WlanFixture, FrozenWalkStopsBeingEvaluated) {
   sim.run_until(60_s);
   EXPECT_EQ(wlan.evaluations(), walked);
   EXPECT_EQ(cb.count("attached"), 1);
+}
+
+TEST_F(WlanFixture, RouterAdvertFanOutFollowsMhIdOrderAndDropsInBlackout) {
+  // Three hosts attach to AP a in the order mh5, mh3, mh4 (not MhId
+  // order); mh4 is then forced over to AP b with a 1.5 s blackout, so at
+  // least one of a's advertisements falls inside it while mh4's record
+  // still points at a.
+  Node& mh4 = net.add_node("mh4");
+  Node& mh5 = net.add_node("mh5");
+  ASSERT_LT(mh.id(), mh4.id());
+  ASSERT_LT(mh4.id(), mh5.id());
+  for (Node* n : {&mh, &mh4, &mh5}) n->add_address({40, n->id()}, false);
+  cfg.send_router_adv = true;
+  cfg.l2_handoff_delay = SimTime::millis(1500);
+  WlanManager wlan(sim, cfg);
+  AccessPoint& a = wlan.add_ap(ar1, {0, 0}, 112, nullptr);
+  AccessPoint& b = wlan.add_ap(ar2, {60, 0}, 112, nullptr);
+  wlan.add_mh(mh5, std::make_unique<StaticPosition>(Vec2{10, 0}), nullptr);
+  struct Ev {
+    SimTime at;
+    std::string link;
+    TraceKind kind;
+    std::optional<DropReason> reason;
+  };
+  std::vector<Ev> evs;
+  const std::string prefix = ar1.name() + ">";
+  sim.trace().add_sink([&](const TraceEvent& e) {
+    if (std::strcmp(e.msg, "RtAdv") != 0) return;
+    if (e.kind != TraceKind::kTransmit && e.kind != TraceKind::kDrop) return;
+    const std::string link = e.where;
+    if (link.rfind(prefix, 0) != 0) return;  // AP a's advertisements only
+    evs.push_back({e.at, link.substr(prefix.size()), e.kind, e.reason});
+  });
+  wlan.start();
+  sim.at(250_ms, [&] {
+    wlan.add_mh(mh, std::make_unique<StaticPosition>(Vec2{12, 0}), nullptr);
+  });
+  sim.at(550_ms, [&] {
+    wlan.add_mh(mh4, std::make_unique<StaticPosition>(Vec2{14, 0}), nullptr);
+  });
+  wlan.force_handoff(mh4.id(), b.id(), 2_s);
+  sim.run_until(6_s);
+  ASSERT_EQ(wlan.attached_ap(mh4.id()), b.id());
+  ASSERT_EQ(wlan.attached_ap(mh.id()), a.id());
+
+  const std::string n3 = "mh" + std::to_string(mh.id());
+  const std::string n4 = "mh" + std::to_string(mh4.id());
+  const std::string n5 = "mh" + std::to_string(mh5.id());
+  const SimTime gone = 2_s + cfg.predisconnect_guard;
+  const SimTime back = gone + cfg.l2_handoff_delay;
+  std::map<SimTime, std::vector<const Ev*>> rounds;
+  for (const Ev& e : evs) rounds[e.at].push_back(&e);
+  int full = 0, in_blackout = 0;
+  for (const auto& [at, round] : rounds) {
+    if (at < 1_s) continue;  // until every host has attached
+    std::vector<std::string> order;
+    for (const Ev* e : round) order.push_back(e->link);
+    if (at >= back) {
+      EXPECT_EQ(order, (std::vector<std::string>{n3, n5})) << at.sec();
+      continue;
+    }
+    ASSERT_EQ(order, (std::vector<std::string>{n3, n4, n5})) << at.sec();
+    ++full;
+    const bool dark = at >= gone;
+    EXPECT_EQ(round[0]->kind, TraceKind::kTransmit);
+    EXPECT_EQ(round[2]->kind, TraceKind::kTransmit);
+    if (dark) {
+      ++in_blackout;
+      EXPECT_EQ(round[1]->kind, TraceKind::kDrop) << at.sec();
+      EXPECT_EQ(round[1]->reason, DropReason::kWirelessDown) << at.sec();
+    } else {
+      EXPECT_EQ(round[1]->kind, TraceKind::kTransmit) << at.sec();
+    }
+  }
+  EXPECT_GE(full, 2);
+  EXPECT_GE(in_blackout, 1);
+  (void)a;
 }
 
 }  // namespace

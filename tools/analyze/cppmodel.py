@@ -200,9 +200,15 @@ class FileModel:
             # A '(' at top level would mean a function returning a struct;
             # class heads have none before the brace (bases use ':').
             name = ""
-            for t in head[1:]:
+            rest = head[1:]
+            for k, t in enumerate(rest):
                 if t.kind == ID and t.text not in ("final", "alignas"):
-                    name = t.text
+                    # A qualified head (`struct std::hash<T>`) names its
+                    # last component, never the namespace.
+                    while k + 2 < len(rest) and rest[k + 1].text == "::" \
+                            and rest[k + 2].kind == ID:
+                        k += 2
+                    name = rest[k].text
                     break
                 if t.text in (":", "{"):
                     break

@@ -8,7 +8,7 @@ this repo has actually shipped (see ISSUE 4 / DESIGN.md):
            the registration (PR 1's dangling-handler ASan class).
   DET-01   nondeterminism sources in src/: wall clocks, unseeded RNG,
            getenv, pointer values used as ordering/hash keys.
-  DET-02   iteration over unordered_{map,set} inside a code path that
+  DET-02   iteration over unordered_{map,set} or IntMap inside a code path that
            prints, serializes, or accumulates order-sensitive results
            (breaks the sweep engine's byte-identical-stdout guarantee).
   AUD-01   classes that use FHMIP_AUDIT but expose public mutating
@@ -386,6 +386,11 @@ def _sorted_later(toks, seq_name, start, end) -> bool:
     return False
 
 
+# Containers whose iteration order is their hash layout: the std unordered
+# ones and the project's open-addressed IntMap (src/sim/int_map.hpp).
+_HASH_ORDERED = ("unordered_map", "unordered_set", "IntMap")
+
+
 def check_det02(ctx, unit):
     for fn in unit.functions():
         toks = fn.file.lexed.tokens
@@ -394,7 +399,7 @@ def check_det02(ctx, unit):
             if not base:
                 continue
             ty = _resolve_type(base, fn, unit)
-            if "unordered_map" not in ty and "unordered_set" not in ty:
+            if not any(c in ty for c in _HASH_ORDERED):
                 continue
             lo, hi = rf.body
             sink = None
@@ -495,6 +500,54 @@ def _ref_aliases(toks, fields) -> dict[int, str]:
     return aliases
 
 
+def _returns_writable_handle(fn) -> bool:
+    """True when the definition of `fn` returns a non-const reference or
+    pointer (`Host& host(MhId)`, `Host* find_host(MhId)`)."""
+    head = getattr(fn.scope, "head_tokens", None)
+    span = getattr(fn.scope, "param_span", None)
+    if head is None or span is None or span[0] < 2:
+        return False
+    ret = [t.text for t in head[:span[0] - 2]]
+    while len(ret) >= 2 and ret[-1] == "::":
+        ret = ret[:-2]  # the `Cls::` of an out-of-line definition
+    return ("&" in ret or "*" in ret) and "const" not in ret
+
+
+def _table_accessors(cls) -> set[str]:
+    """Methods handing out a non-const reference or pointer into a member
+    table: some definition of the name returns one, and some definition of
+    it reads a field (so a non-const overload that defers to the const one
+    counts too)."""
+    reads_field = {m.name for m in cls.methods
+                   if any(t.kind == ID and t.text in cls.fields
+                          for t in m.body_tokens())}
+    return {m.name for m in cls.methods
+            if not m.scope.is_static and m.name in reads_field
+            and _returns_writable_handle(m)}
+
+
+def _accessor_aliases(toks, accessors) -> dict[int, str]:
+    """Locals declared as non-const references or pointers bound to what a
+    member-table accessor returns (`Host& h = host(mh);`,
+    `if (Host* h = find_host(mh); ...)`), keyed by the token index of their
+    declarator: writes through them are writes to that member."""
+    aliases = {}
+    for i in range(1, len(toks) - 4):
+        declarator = toks[i - 1].kind == ID or toks[i - 1].text in (">", ">>")
+        if not declarator or toks[i].text not in ("&", "*") \
+                or toks[i + 1].kind != ID or toks[i + 2].text != "=" \
+                or toks[i + 3].text not in accessors \
+                or toks[i + 4].text != "(":
+            continue  # not `T& name = accessor(...)` / `T* name = ...`
+        j = i - 1
+        while j >= 0 and toks[j].text not in (";", "{", "}", "(", ")", ",",
+                                              "const"):
+            j -= 1
+        if j < 0 or toks[j].text != "const":  # const handles cannot write
+            aliases[i + 1] = toks[i + 1].text
+    return aliases
+
+
 def _writes_through(toks, i, n) -> bool:
     """True when the name at toks[i] heads a write: an assignment or ++/--
     on it or on a member/element reached from it, or a mutator call on one
@@ -515,13 +568,14 @@ def _writes_through(toks, i, n) -> bool:
     return j < n and toks[j].text in _ASSIGN_OPS | {"++", "--"}
 
 
-def _mutates_fields(fn, fields) -> bool:
+def _mutates_fields(fn, fields, accessors=frozenset()) -> bool:
     toks = fn.body_tokens()
     n = len(toks)
     iters = _iter_aliases(toks, fields)
     iter_names = set(iters.values())
     decls = _ref_aliases(toks, set(fields) | iter_names)
     decls.update(iters)
+    decls.update(_accessor_aliases(toks, accessors))
     names = set(fields) | set(decls.values())
     for i, t in enumerate(toks):
         if t.kind != ID or t.text not in names or i in decls:
@@ -567,6 +621,7 @@ def check_aud01(ctx, unit):
                 if m.self_calls & audit_names:
                     audit_names.add(m.name)
                     changed = True
+        accessors = _table_accessors(cls)
         for fn in cls.methods:
             if not _in_src(_fn_file(fn)):
                 continue
@@ -580,7 +635,7 @@ def check_aud01(ctx, unit):
             # Delegation: calling an auditing method on this object counts.
             if fn.self_calls & audit_names:
                 continue
-            if not _mutates_fields(fn, cls.fields):
+            if not _mutates_fields(fn, cls.fields, accessors):
                 continue
             yield _mk(ctx, "AUD-01", "warning", fn, fn.line,
                       f"{cls.name}::{fn.name} mutates audited state but "
